@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one artefact of the paper (see DESIGN.md §3) by
-running the corresponding experiment driver exactly once under
-pytest-benchmark (the drivers are deterministic, so repeated rounds would
-only re-measure the same numbers) and printing the resulting
-paper-vs-measured table.  Run them with::
+Each benchmark regenerates one artefact of the paper (see the experiment
+drivers in docs/experiments.md) by running the corresponding driver
+exactly once under pytest-benchmark (the drivers are deterministic, so
+repeated rounds would only re-measure the same numbers) and printing the
+resulting paper-vs-measured table.  Run them with::
 
     pytest benchmarks/ --benchmark-only -s
 """

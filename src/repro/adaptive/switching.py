@@ -96,6 +96,11 @@ class _ProbeDaemon(Daemon):
         super().bind(protocol)
         self._inner.bind(protocol)
 
+    def attach_ranks(self, ranks) -> bool:
+        # ``select`` hands the inner daemon the engine's own enabled set,
+        # so the inner daemon can use the engine's rank index directly.
+        return self._inner.attach_ranks(ranks)
+
     def select(
         self,
         enabled: FrozenSet[VertexId],

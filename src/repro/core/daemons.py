@@ -27,6 +27,7 @@ available to the other.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -50,6 +51,92 @@ __all__ = [
     "DAEMON_FACTORIES",
     "make_daemon",
 ]
+
+
+class EnabledRanks:
+    """Enabled membership over the repr-sorted vertex ranks (a Fenwick tree).
+
+    The dict engine keeps one per run for daemons that pick by position in
+    the deterministic vertex order (:meth:`Daemon.attach_ranks`): it
+    reports every vertex joining or leaving the enabled set during a sparse
+    guard refresh (O(log n) each) and publishes, as :attr:`current`, the
+    enabled frozenset the tree describes.  :meth:`kth` then finds the k-th
+    enabled vertex in O(log n) instead of filtering the whole vertex order.
+
+    After a batch refresh the engine calls :meth:`suspend` instead of
+    reporting n events; the tree is rebuilt from :attr:`current` — once,
+    in O(n) — only when a daemon next asks, so dense steps pay nothing.
+
+    Invariant: whenever :attr:`current` is not None, the tree (once
+    rebuilt, if suspended) holds exactly the members of :attr:`current`;
+    every event resets :attr:`current` until the engine publishes the new
+    enabled set.  A daemon handed any other set must not use the tree.
+    """
+
+    __slots__ = ("_order", "_rank", "_starts", "_top", "_tree", "_live", "current")
+
+    def __init__(self, order: Sequence[VertexId]) -> None:
+        self._order = order
+        # Rank and cell tables, built with the first tree: tree cell i
+        # counts the members at 1-based positions (starts[i], i], where
+        # ``starts[i] = i - lowbit(i)``.
+        self._rank: Dict[VertexId, int] = {}
+        self._starts: List[int] = []
+        self._top = 1
+        self._tree: List[int] = []
+        self._live = False
+        #: The enabled set the tree describes (None between an event and
+        #: the engine's next publication).
+        self.current: Optional[FrozenSet[VertexId]] = None
+
+    def suspend(self) -> None:
+        """Stop tracking events; rebuild from :attr:`current` on next use."""
+        self._live = False
+        self.current = None
+
+    def update(self, vertex: VertexId, delta: int) -> None:
+        """``vertex`` joined (``delta=1``) or left (``-1``) the enabled set."""
+        self.current = None
+        if self._live:
+            tree = self._tree
+            size = len(tree)
+            index = self._rank[vertex] + 1
+            while index < size:
+                tree[index] += delta
+                index += index & -index
+
+    def _rebuild(self) -> None:
+        if not self._starts:
+            order = self._order
+            self._rank = {vertex: position for position, vertex in enumerate(order)}
+            self._starts = [index - (index & -index) for index in range(len(order) + 1)]
+            while self._top * 2 <= len(order):
+                self._top *= 2
+        rank = self._rank
+        bits = [0] * len(self._starts)
+        for vertex in self.current:
+            bits[rank[vertex] + 1] = 1
+        prefix = list(itertools.accumulate(bits))
+        self._tree = list(
+            map(operator.sub, prefix, map(prefix.__getitem__, self._starts))
+        )
+        self._live = True
+
+    def kth(self, k: int) -> VertexId:
+        """The ``k``-th (0-based) member of :attr:`current` in rank order."""
+        if not self._live:
+            self._rebuild()
+        tree = self._tree
+        size = len(tree)
+        position = 0
+        step = self._top
+        while step:
+            probe = position + step
+            if probe < size and tree[probe] <= k:
+                position = probe
+                k -= tree[probe]
+            step >>= 1
+        return self._order[position]
 
 
 class Daemon(ABC):
@@ -87,6 +174,9 @@ class Daemon(ABC):
     #: beats the dict-backed dirty-set paths.
     density: Optional[float] = None
 
+    #: Engine-maintained rank index (see :meth:`attach_ranks`).
+    _ranks: Optional[EnabledRanks] = None
+
     def __init__(self) -> None:
         self._protocol: Optional[Protocol] = None
         self._sorted_vertices: Optional[List[VertexId]] = None
@@ -111,6 +201,27 @@ class Daemon(ABC):
         if self._sorted_vertices is None or len(enabled) * 8 < len(self._sorted_vertices):
             return sorted(enabled, key=repr)
         return [v for v in self._sorted_vertices if v in enabled]
+
+    def attach_ranks(self, ranks: Optional[EnabledRanks]) -> bool:
+        """Offer (or, with ``None``, withdraw) the engine's rank index.
+
+        Returns whether the daemon uses it; the engine maintains the index
+        only for daemons that do.  The base daemon declines.
+        """
+        del ranks
+        return False
+
+    def _enabled_at(self, enabled: FrozenSet[VertexId], k: int) -> VertexId:
+        """``self._ordered_enabled(enabled)[k]`` (0 <= k < len(enabled)).
+
+        O(log n) through the attached rank index when it describes exactly
+        ``enabled`` (the engine's own enabled set this step), the filtered
+        vertex order otherwise — both give the same vertex.
+        """
+        ranks = self._ranks
+        if ranks is not None and ranks.current is enabled:
+            return ranks.kth(k)
+        return self._ordered_enabled(enabled)[k]
 
     @property
     def protocol(self) -> Optional[Protocol]:
@@ -227,6 +338,12 @@ class CentralDaemon(Daemon):
     * ``"random"`` — uniformly at random (default);
     * ``"first"`` / ``"last"`` — deterministic extremes of the repr order,
       useful to build reproducible sequential executions.
+
+    Every strategy picks a position ``k`` in the repr order of the enabled
+    set — the random one with ``rng.choice(range(len(enabled)))``, the same
+    single ``_randbelow(len)`` draw as choosing from the ordered list — and
+    resolves it through :meth:`Daemon._enabled_at`, O(log n) under the
+    dict engine's rank index.
     """
 
     name = "cd"
@@ -244,14 +361,17 @@ class CentralDaemon(Daemon):
         step_index: int,
         rng: random.Random,
     ) -> FrozenSet[VertexId]:
-        ordered = self._ordered_enabled(enabled)
         if self._strategy == "first":
-            choice = ordered[0]
+            k = 0
         elif self._strategy == "last":
-            choice = ordered[-1]
+            k = len(enabled) - 1
         else:
-            choice = rng.choice(ordered)
-        return frozenset({choice})
+            k = rng.choice(range(len(enabled)))
+        return frozenset({self._enabled_at(enabled, k)})
+
+    def attach_ranks(self, ranks: Optional[EnabledRanks]) -> bool:
+        self._ranks = ranks
+        return True
 
     def admits_selection(
         self, enabled: FrozenSet[VertexId], selection: FrozenSet[VertexId]
@@ -541,7 +661,13 @@ class RegimeSwitchingDaemon(Daemon):
     ) -> FrozenSet[VertexId]:
         if self.in_dense_phase(step_index):
             return enabled
-        return frozenset({rng.choice(self._ordered_enabled(enabled))})
+        # Same draw and vertex as CentralDaemon's random strategy.
+        k = rng.choice(range(len(enabled)))
+        return frozenset({self._enabled_at(enabled, k)})
+
+    def attach_ranks(self, ranks: Optional[EnabledRanks]) -> bool:
+        self._ranks = ranks
+        return True
 
 
 def is_weaker_than(

@@ -50,7 +50,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from ..exceptions import SimulationError
 from ..types import VertexId, VertexStateLike
-from .daemons import Daemon
+from .daemons import Daemon, EnabledRanks
 from .execution import Execution, LazyActivations
 from .protocol import ActivationRecord, Protocol
 from .rules import LocalView, Rule
@@ -122,6 +122,7 @@ class IncrementalEngine:
         "_vertices",
         "_neighbors",
         "_vector",
+        "_rank_order",
         "last_run_backend",
         "last_final_configuration",
     )
@@ -142,6 +143,9 @@ class IncrementalEngine:
             v: tuple(self._graph.neighbors(v)) for v in self._vertices
         }
         self._vector = None
+        # The daemons' repr-sorted vertex order (EnabledRanks ranks),
+        # sorted on the first dict run.
+        self._rank_order: Optional[Tuple[VertexId, ...]] = None
         #: Which backend the most recent ``run`` used ("vector-superstep",
         #: "vector" or "dict"); None before the first run.  Diagnostic only.
         self.last_run_backend: Optional[str] = None
@@ -340,6 +344,17 @@ class IncrementalEngine:
         # iterates this flat list instead of a fresh dict-items view.
         scan_items: List[Tuple[VertexId, LocalView]] = list(views.items())
 
+        # Rank index for daemons picking by position in the repr order
+        # (central daemons): maintained from the join/leave events of the
+        # sparse refresh, suspended by batch refreshes, published as the
+        # enabled frozenset is rebuilt.  None when the daemon declines it.
+        ranks: Optional[EnabledRanks] = None
+        if self._rank_order is None:
+            self._rank_order = tuple(graph.sorted_vertices())
+        candidate = EnabledRanks(self._rank_order)
+        if daemon.attach_ranks(candidate):
+            ranks = candidate
+
         light = trace == "light"
         live_view = buffer.view() if light else None
         configurations: List[Configuration] = [initial]
@@ -354,6 +369,8 @@ class IncrementalEngine:
         for index in range(max_steps + 1):
             if enabled is None:
                 enabled = frozenset(prepared)
+                if ranks is not None:
+                    ranks.current = enabled
             enabled_sets.append(enabled)
             observed = live_view if light else current
             if stop_when is not None and stop_when(observed, index):
@@ -433,6 +450,8 @@ class IncrementalEngine:
                         for slot in patch_slots[vertex]:
                             slot[vertex] = new_state
                     enabled = None
+                    if ranks is not None:
+                        ranks.suspend()
                     if stock_choose:
                         # The first rule is the hot one in every protocol of
                         # the library; probing it outside the general rule
@@ -475,11 +494,15 @@ class IncrementalEngine:
                                 if check(view):
                                     if vertex not in prepared:
                                         enabled = None
+                                        if ranks is not None:
+                                            ranks.update(vertex, 1)
                                     prepared[vertex] = plan
                                     break
                             else:
                                 if prepared.pop(vertex, None) is not None:
                                     enabled = None
+                                    if ranks is not None:
+                                        ranks.update(vertex, -1)
                     else:
                         for vertex in dirty:
                             view = views[vertex]
@@ -489,9 +512,13 @@ class IncrementalEngine:
                             if enabled_rules:
                                 if vertex not in prepared:
                                     enabled = None
+                                    if ranks is not None:
+                                        ranks.update(vertex, 1)
                                 prepared[vertex] = enabled_rules
                             elif prepared.pop(vertex, None) is not None:
                                 enabled = None
+                                if ranks is not None:
+                                    ranks.update(vertex, -1)
 
             selections.append(selection)
             if light:
@@ -506,6 +533,11 @@ class IncrementalEngine:
                 current = buffer.snapshot() if changes else current
                 configurations.append(current)
 
+        if ranks is not None:
+            # Withdraw the index; a run aborted by an exception leaves it
+            # attached, which is harmless — it only answers for this run's
+            # own enabled sets (EnabledRanks.current).
+            daemon.attach_ranks(None)
         # The buffer already holds the final states; snapshotting it here is
         # O(n) once, versus an O(steps · Δ) delta replay through
         # ``Execution.final`` on a light trace.

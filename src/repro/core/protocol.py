@@ -388,6 +388,10 @@ class PrivilegeAware(ABC):
     terms of this predicate (Section 4): a vertex that is privileged in a
     configuration and activated during the next action executes its critical
     section during that action.
+
+    Like a guard, ``is_privileged(configuration, v)`` may read only the
+    states of ``v`` and its neighbours; ``spec_ME``'s incremental safety
+    monitoring relies on it.
     """
 
     @abstractmethod

@@ -20,9 +20,10 @@ liveness check was even attempted.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Callable, Mapping, Optional, Tuple
 
 from ..exceptions import SpecificationError
+from ..types import VertexId
 from .execution import Execution
 from .protocol import Protocol
 from .state import Configuration
@@ -50,6 +51,22 @@ class Specification(ABC):
     @abstractmethod
     def is_safe(self, configuration: Configuration, protocol: Protocol) -> bool:
         """Whether ``configuration`` satisfies the safety predicate."""
+
+    def local_safety(
+        self,
+    ) -> Optional[Tuple[Callable[[Mapping, VertexId], bool], int]]:
+        """Optional shape declaration: safety as a budget of *bad* vertices.
+
+        Returns ``(bad, budget)`` when :meth:`is_safe` holds exactly when at
+        most ``budget`` vertices ``v`` satisfy ``bad(configuration, v)``,
+        and ``bad`` reads only the states of ``v``'s closed neighbourhood.
+        :class:`~repro.core.SafetyMonitor` then keeps the bad set across a
+        live run and, after an action that changed the vertex set ``C``,
+        re-evaluates ``bad`` on ``C ∪ neig(C)`` only.  The base returns
+        ``None`` (no declared shape: every observation calls
+        :meth:`is_safe`).
+        """
+        return None
 
     def safe_rows(self, rows, order, protocol: Protocol):
         """Optional batch capability: the ``(m,)`` boolean safety vector of

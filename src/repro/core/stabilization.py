@@ -27,7 +27,7 @@ pinned by ``tests/test_exact_consistency.py`` and the E8 driver.  See
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Set
 
 from ..exceptions import SimulationError
 from .daemons import Daemon
@@ -35,7 +35,7 @@ from .execution import Execution
 from .protocol import Protocol
 from .simulator import Simulator
 from .specification import Specification
-from .state import Configuration
+from .state import Configuration, ConfigurationView
 
 __all__ = [
     "SafetyMonitor",
@@ -72,12 +72,29 @@ class SafetyMonitor:
     In light-trace mode :meth:`observe` receives a live read-only view; the
     monitor only derives booleans from it and never retains it, which is
     exactly the contract such views require.
+
+    **Incremental safety.**  For specifications declaring the local shape
+    (:meth:`Specification.local_safety`: at most ``budget`` bad vertices,
+    badness read from the closed neighbourhood — ``spec_ME`` and
+    ``spec_AU``), the monitor keeps the bad set while it observes the dict
+    engine's live :class:`~repro.core.ConfigurationView`.  When the view
+    proves (:meth:`ConfigurationView.changed_since`) that exactly one
+    action with changed vertex set ``C`` separates this observation from
+    the previous one, only ``C ∪ neig(C)`` is re-evaluated, so a central
+    daemon step costs O(Δ + deg) instead of O(n).  Everything else is a
+    full scan: index 0, a new buffer (another run, or an adaptive segment
+    boundary), the step after a dense action (which itself calls
+    ``is_safe``), immutable snapshots (full traces, the reference engine),
+    array views, and specifications without the shape.
     """
 
     __slots__ = (
         "_protocol",
         "_specs",
         "_checks",
+        "_shapes",
+        "_bad",
+        "_stamp",
         "_first_unsafe",
         "_last_unsafe",
         "_last_index",
@@ -96,6 +113,11 @@ class SafetyMonitor:
         self._protocol = protocol
         self._specs = specs
         self._checks = [spec.is_safe for spec in specs]
+        # Per specification: its declared (bad, budget) shape, and the bad
+        # set of the configuration ``_stamp`` marks (None: not tracked).
+        self._shapes = [spec.local_safety() for spec in specs]
+        self._bad: List[Optional[Set]] = [None] * len(specs)
+        self._stamp = None
         self._first_unsafe: List[Optional[int]] = [None] * len(specs)
         self._last_unsafe: List[Optional[int]] = [None] * len(specs)
         self._last_index = -1
@@ -106,6 +128,8 @@ class SafetyMonitor:
         self._first_unsafe = [None] * len(self._specs)
         self._last_unsafe = [None] * len(self._specs)
         self._last_index = -1
+        self._bad = [None] * len(self._specs)
+        self._stamp = None
 
     # ------------------------------------------------------------------ #
     # The stop_when-compatible callback
@@ -124,14 +148,63 @@ class SafetyMonitor:
             )
         self._last_index = index
         protocol = self._protocol
+        if isinstance(configuration, ConfigurationView):
+            verdicts = self._observe_view(configuration)
+        else:
+            verdicts = self._stamp = None
         for position, check in enumerate(self._checks):
-            if not check(configuration, protocol):
+            safe = (
+                check(configuration, protocol)
+                if verdicts is None or verdicts[position] is None
+                else verdicts[position]
+            )
+            if not safe:
                 self._last_unsafe[position] = index
                 if self._first_unsafe[position] is None:
                     self._first_unsafe[position] = index
         if self._stop_when is not None:
             return self._stop_when(configuration, index)
         return False
+
+    def _observe_view(self, view: ConfigurationView) -> Optional[List[Optional[bool]]]:
+        """Safety verdicts of the local-shape specifications on a live view
+        (``None`` entries: no declared shape), updating their bad sets;
+        ``None`` when every specification should call ``is_safe``."""
+        if not any(self._shapes):
+            return None
+        graph = self._protocol.graph
+        changed = None if self._stamp is None else view.changed_since(self._stamp)
+        if changed is not None and len(changed) * 4 >= graph.n:
+            # A dense action: the short-circuiting is_safe scans beat
+            # re-evaluating a region of ~n vertices; the next sparse
+            # observation rebuilds the bad sets.
+            self._stamp = None
+            return None
+        self._stamp = view.stamp()
+        region: Set = set()
+        if changed:
+            region.update(changed)
+            for vertex in changed:
+                region.update(graph.neighbors(vertex))
+        verdicts: List[Optional[bool]] = []
+        for position, shape in enumerate(self._shapes):
+            if shape is None:
+                verdicts.append(None)
+                continue
+            is_bad, budget = shape
+            bad = self._bad[position]
+            if changed is None:
+                bad = self._bad[position] = {
+                    vertex for vertex in graph.vertices if is_bad(view, vertex)
+                }
+            else:
+                for vertex in region:
+                    if is_bad(view, vertex):
+                        bad.add(vertex)
+                    else:
+                        bad.discard(vertex)
+            verdicts.append(len(bad) <= budget)
+        return verdicts
 
     # ------------------------------------------------------------------ #
     # Results

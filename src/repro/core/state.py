@@ -14,12 +14,15 @@ companions defined here:
   snapshots are materialized only when the execution trace records them;
 * :class:`ConfigurationView` — a read-only *live* window onto a buffer,
   handed to daemons and ``stop_when`` predicates in light-trace mode so no
-  snapshot has to be materialized for steps the trace does not keep.
+  snapshot has to be materialized for steps the trace does not keep.  A
+  view also tells which vertices its buffer changed since an earlier
+  :meth:`~ConfigurationView.stamp`, which lets streaming observers
+  (:class:`~repro.core.SafetyMonitor`) re-check only what moved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Collection, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..exceptions import SimulationError
 from ..types import VertexId, VertexStateLike
@@ -135,13 +138,17 @@ class ConfigurationBuffer(Mapping[VertexId, VertexStateLike]):
 
     Unlike :class:`Configuration`, updates happen in place (O(Δ) per action
     for Δ changed vertices); immutable snapshots are materialized on demand
-    with :meth:`snapshot`, each costing one dict copy.
+    with :meth:`snapshot`, each costing one dict copy.  The buffer counts
+    its updates and keeps the vertex set of the latest one, which is what
+    :meth:`ConfigurationView.changed_since` reports.
     """
 
-    __slots__ = ("_states",)
+    __slots__ = ("_states", "_version", "_last_changed")
 
     def __init__(self, initial: Mapping[VertexId, VertexStateLike]) -> None:
         self._states: Dict[VertexId, VertexStateLike] = dict(initial)
+        self._version = 0
+        self._last_changed: Collection[VertexId] = ()
 
     # -- Mapping interface -------------------------------------------------
     def __getitem__(self, vertex: VertexId) -> VertexStateLike:
@@ -166,6 +173,8 @@ class ConfigurationBuffer(Mapping[VertexId, VertexStateLike]):
             if vertex not in self._states:
                 raise SimulationError(f"cannot update unknown vertex {vertex!r}")
         self._states.update(changes)
+        self._version += 1
+        self._last_changed = tuple(changes)
 
     def apply_trusted_changes(self, changes: Mapping[VertexId, VertexStateLike]) -> None:
         """Like :meth:`apply_changes` without the per-key membership check.
@@ -174,9 +183,13 @@ class ConfigurationBuffer(Mapping[VertexId, VertexStateLike]):
         set (the simulation engine's firing loop does: every key comes from
         a daemon selection validated against the enabled set); the check is
         pure per-action overhead there, and it dominates the batch fast
-        path where Δ is the whole graph.
+        path where Δ is the whole graph.  ``changes`` itself is kept as the
+        latest update's vertex set, so the caller must not mutate it
+        afterwards (the engine builds a fresh dict per action).
         """
         self._states.update(changes)
+        self._version += 1
+        self._last_changed = changes
 
     # -- Export ------------------------------------------------------------
     def snapshot(self) -> Configuration:
@@ -253,6 +266,37 @@ class ConfigurationView(Mapping[VertexId, VertexStateLike]):
     def snapshot(self) -> Configuration:
         """Pin the current states as an immutable :class:`Configuration`."""
         return self._buffer.snapshot()
+
+    # -- Change tracking ----------------------------------------------------
+    def stamp(self) -> Tuple[ConfigurationBuffer, int]:
+        """An opaque marker of the current states, for :meth:`changed_since`.
+
+        Unlike the view itself, a stamp may be kept across steps: it pins
+        no states, only the buffer's identity and update count.
+        """
+        buffer = self._buffer
+        return buffer, buffer._version
+
+    def changed_since(
+        self, stamp: Tuple[ConfigurationBuffer, int]
+    ) -> Optional[Collection[VertexId]]:
+        """The vertices whose states may differ from when ``stamp`` was taken.
+
+        Empty when the buffer has not been updated since, the vertex set of
+        its latest update when exactly one update happened in between (one
+        engine action), and ``None`` when the view cannot tell — the stamp
+        comes from another buffer (another run or run segment) or is more
+        than one update old.  Callers treat ``None`` as "rescan everything".
+        """
+        buffer, version = stamp
+        if buffer is not self._buffer:
+            return None
+        current = buffer._version
+        if current == version:
+            return ()
+        if current == version + 1:
+            return buffer._last_changed
+        return None
 
     def as_dict(self) -> Dict[VertexId, VertexStateLike]:
         """A mutable copy of the current states."""

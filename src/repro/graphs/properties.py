@@ -219,43 +219,66 @@ def _longest_chordless_cycle(graph: Graph, budget: int) -> Tuple[Optional[int], 
 
     Returns ``(length, exact)`` where ``exact`` is False when the search
     budget was exhausted (the returned length is then only a lower bound).
+
+    Each search grows chordless paths from a ``start`` vertex through
+    vertices later in the repr order, and records a cycle whenever the new
+    vertex closes back onto ``start``.  The depth-first search keeps an
+    explicit stack of neighbour iterators (one per path vertex), so the
+    path length — up to ``n`` on a ring — is not bounded by the
+    interpreter's recursion limit.  ``touches[x]`` counts the path's
+    *interior* vertices adjacent to ``x``, which makes the chordless test
+    O(1).  Once the budget is exceeded no path is extended any further, but
+    the candidates already on the stack are still examined (and may still
+    close a longer cycle) before the search returns.
     """
     adjacency = {v: graph.neighbors(v) for v in graph.vertices}
     order = {v: idx for idx, v in enumerate(graph.sorted_vertices())}
+    touches: Dict[VertexId, int] = dict.fromkeys(graph.vertices, 0)
     best: Optional[int] = None
     expansions = 0
     exact = True
 
-    def extend(start: VertexId, path: List[VertexId], blocked: set) -> None:
-        nonlocal best, expansions, exact
-        if expansions > budget:
-            exact = False
-            return
-        last = path[-1]
-        for w in adjacency[last]:
-            if order[w] <= order[start] and w != start:
-                continue
-            if w in path:
-                continue
-            expansions += 1
-            # Chordless condition: w may only touch the path at its last
-            # vertex (and possibly at the start vertex, closing a cycle).
-            interior = path[1:-1]
-            if any(w in adjacency[x] for x in interior):
-                continue
-            closes = start in adjacency[w]
-            if closes and len(path) >= 2:
-                length = len(path) + 1
-                if best is None or length > best:
-                    best = length
-            if not closes:
-                extend(start, path + [w], blocked)
-
     for start in graph.sorted_vertices():
+        start_rank = order[start]
+        closing = adjacency[start]
         for first in adjacency[start]:
-            if order[first] <= order[start]:
+            if order[first] <= start_rank:
                 continue
-            extend(start, [start, first], set())
+            if expansions > budget:
+                return best, False
+            path = [start, first]
+            on_path = {start, first}
+            stack = [iter(adjacency[first])]
+            while stack:
+                for w in stack[-1]:
+                    if order[w] <= start_rank or w in on_path:
+                        continue
+                    expansions += 1
+                    # Chordless condition: w may only touch the path at its
+                    # last vertex (and possibly at start, closing a cycle).
+                    if touches[w]:
+                        continue
+                    if w in closing:
+                        length = len(path) + 1
+                        if best is None or length > best:
+                            best = length
+                        continue
+                    if expansions > budget:
+                        exact = False
+                        continue
+                    # Extend: the current last vertex becomes interior.
+                    for x in adjacency[path[-1]]:
+                        touches[x] += 1
+                    path.append(w)
+                    on_path.add(w)
+                    stack.append(iter(adjacency[w]))
+                    break
+                else:
+                    stack.pop()
+                    on_path.discard(path.pop())
+                    if len(path) >= 2:
+                        for x in adjacency[path[-1]]:
+                            touches[x] -= 1
             if not exact:
                 return best, False
     return best, exact

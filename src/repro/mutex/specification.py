@@ -91,6 +91,12 @@ class MutualExclusionSpec(Specification):
                     return False
         return True
 
+    def local_safety(self):
+        """At most one privileged vertex: ``bad`` is the protocol's
+        privilege predicate, which reads the vertex's closed neighbourhood
+        only (see :class:`~repro.core.PrivilegeAware`)."""
+        return self._protocol.is_privileged, 1
+
     def privileged_count(self, configuration: Configuration) -> int:
         """Number of privileged vertices (0 or 1 in safe configurations)."""
         return len(self._protocol.privileged_vertices(configuration))

@@ -42,6 +42,24 @@ class AsynchronousUnisonSpec(Specification):
         del protocol  # the spec is bound to its own protocol instance
         return self._protocol.is_legitimate(configuration)
 
+    def local_safety(self):
+        """Γ₁ as a zero budget of bad vertices: a vertex is bad when its
+        register is incorrect or an incident edge drifts by more than 1."""
+        return self._locally_illegitimate, 0
+
+    def _locally_illegitimate(self, configuration: Configuration, vertex) -> bool:
+        # Correct values are [0, K); for them ``distance > 1`` is
+        # ``1 < (rv - ru) % K < K - 1`` (the guards' inlined arithmetic).
+        K = self._protocol.K
+        rv = configuration[vertex]
+        if not 0 <= rv < K:
+            return True
+        for neighbor in self._protocol.graph.neighbors(vertex):
+            ru = configuration[neighbor]
+            if not 0 <= ru < K or 1 < (rv - ru) % K < K - 1:
+                return True
+        return False
+
     def safe_rows(self, rows, order, protocol: Protocol):
         """Batch Γ₁ membership for the exact checker: every register correct
         (``>= 0``; the cherry domain is bounded above by ``K``) and every

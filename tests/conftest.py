@@ -8,12 +8,39 @@ import pytest
 
 from repro.graphs import (
     Graph,
+    binary_tree_graph,
     complete_graph,
     grid_graph,
     path_graph,
+    petersen_graph,
     ring_graph,
     star_graph,
 )
+
+
+def shrikhande_graph() -> Graph:
+    """The Shrikhande graph, the smallest Doob graph: 16 vertices,
+    6-regular, not a ring.  Built as the Cayley graph of Z4 x Z4 with
+    connection set ±{(1, 0), (0, 1), (1, 1)}; vertices are the pairs."""
+    vertices = [(a, b) for a in range(4) for b in range(4)]
+    edges = [
+        ((a, b), ((a + da) % 4, (b + db) % 4))
+        for a, b in vertices
+        for da, db in ((1, 0), (0, 1), (1, 1))
+    ]
+    return Graph(vertices, edges)
+
+
+#: Non-ring shapes for the local-step suites (incremental safety
+#: monitoring, rank-indexed selection): a tree-like, a planar, a dense
+#: tree, and two vertex-transitive graphs.
+NONRING_GRAPHS = {
+    "path": lambda: path_graph(10),
+    "grid": lambda: grid_graph(3, 4),
+    "binary-tree": lambda: binary_tree_graph(11),
+    "petersen": petersen_graph,
+    "shrikhande": shrikhande_graph,
+}
 
 
 @pytest.fixture
@@ -57,3 +84,22 @@ def small_graph(request) -> Graph:
         "grid": grid_graph(3, 3),
         "complete": complete_graph(4),
     }[request.param]
+
+
+@pytest.fixture
+def shrikhande() -> Graph:
+    return shrikhande_graph()
+
+
+@pytest.fixture(params=sorted(NONRING_GRAPHS))
+def nonring_graph(request) -> Graph:
+    """A parametrized family of small connected non-ring graphs."""
+    return NONRING_GRAPHS[request.param]()
+
+
+@pytest.fixture(params=["ring"] + sorted(NONRING_GRAPHS))
+def local_step_graph(request) -> Graph:
+    """The ring plus every :data:`NONRING_GRAPHS` shape."""
+    if request.param == "ring":
+        return ring_graph(12)
+    return NONRING_GRAPHS[request.param]()

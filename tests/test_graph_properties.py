@@ -125,6 +125,14 @@ class TestHoleAndLcp:
         assert hole_length(grid_graph(2, 3)) == 4
         assert hole_length(grid_graph(3, 3)) == 8
 
+    def test_hole_of_long_ring_is_exact(self):
+        # Depth-first search as deep as the ring: no recursion limit.
+        assert hole_length(ring_graph(1000)) == 1000
+
+    def test_hole_budget_exhaustion_falls_back_to_n(self):
+        assert hole_length(ring_graph(50), budget=10) == 50
+        assert hole_length(petersen_graph(), budget=0) == 10
+
     def test_cyclo_upper_bound(self):
         assert cyclomatic_characteristic_upper_bound(path_graph(5)) == 2
         assert cyclomatic_characteristic_upper_bound(ring_graph(6)) == 6
@@ -165,3 +173,14 @@ class TestProfile:
     def test_profile_requires_connected(self):
         with pytest.raises(GraphError):
             profile(Graph([0, 1], []))
+
+
+class TestShrikhandeFixture:
+    def test_is_the_shrikhande_graph(self, shrikhande):
+        # srg(16, 6, 2, 2) with 192 automorphisms — the 4x4 rook's graph
+        # shares the parameters but has 1152.
+        assert (shrikhande.n, shrikhande.m) == (16, 48)
+        assert {shrikhande.degree(v) for v in shrikhande.vertices} == {6}
+        assert len(shrikhande.automorphisms()) == 192
+        assert diameter(shrikhande) == 2
+        assert not is_ring(shrikhande)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -32,6 +33,16 @@ class TestConstruction:
     def test_K_too_small_rejected(self):
         with pytest.raises(ProtocolError):
             AsynchronousUnison(ring_graph(6), alpha=6, K=3)
+
+    def test_default_validation_at_n_1000(self):
+        """The exact hole search behind default validation is iterative:
+        ring(1000) needs a 1000-deep path, past the recursion limit."""
+        started = time.perf_counter()
+        protocol = AsynchronousUnison(ring_graph(1000))
+        assert time.perf_counter() - started < 30.0
+        assert protocol.alpha == 1000 and protocol.K == 1001
+        with pytest.raises(ProtocolError):
+            AsynchronousUnison(ring_graph(1000), alpha=997)
 
     def test_validation_can_be_disabled(self):
         protocol = AsynchronousUnison(ring_graph(6), alpha=2, K=3, validate_parameters=False)
