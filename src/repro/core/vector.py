@@ -44,6 +44,7 @@ enabled sets, activation records, truncation) is pinned by
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from typing import (
     Callable,
     Dict,
@@ -632,7 +633,7 @@ class _SuperstepReplayer:
     """Deterministic re-execution of a superstep run from its checkpoints.
 
     The superstep path records only periodic state-array snapshots; every
-    per-step artefact (configurations, deltas, activation records) is
+    replayed per-step artefact (light-trace deltas, activation records) is
     reconstructed on demand by replaying the kernel forward from the nearest
     checkpoint at or before the requested index.  The kernel is a pure
     function of the state array, so the replay is bit-identical to the
@@ -641,27 +642,30 @@ class _SuperstepReplayer:
     One mutable cursor (``_states``/``_rule_ids`` positioned at
     configuration ``_at``) is kept; sequential access — the dominant pattern
     through ``LazyConfigurationTrace.iter_from`` and aggregate walks — costs
-    one kernel step per index, and a random access costs at most one
-    checkpoint load plus ``superstep`` kernel steps.
+    one kernel step per index, and a random access costs one binary search
+    over the checkpoint steps, at most one checkpoint load and at most
+    ``superstep`` kernel steps.
     """
 
     __slots__ = (
-        "_codec",
         "_kernel",
         "_index",
         "_checkpoints",
+        "_steps",
         "_refresh",
         "_at",
         "_states",
         "_rule_ids",
     )
 
-    def __init__(self, codec, kernel, index, checkpoints, refresh) -> None:
-        self._codec = codec
+    def __init__(self, kernel, index, checkpoints, refresh) -> None:
         self._kernel = kernel
         self._index = index
         #: step -> pristine state-array snapshot (never handed out).
         self._checkpoints: Dict[int, object] = checkpoints
+        #: The checkpointed steps, ascending.  Not all are multiples of the
+        #: cadence: a fixed-point fast-forward checkpoints where it stopped.
+        self._steps: List[int] = sorted(checkpoints)
         #: ``(rule_ids, states, selected, changed_rows) -> rule_ids`` — the
         #: engine's (possibly sparse) guard-refresh, shared so replays take
         #: the same fast paths as the original run.
@@ -677,15 +681,15 @@ class _SuperstepReplayer:
 
     def seek(self, step: int) -> None:
         """Position the cursor on configuration ``step``."""
-        if self._at == step:
+        at = self._at
+        if at == step:
             return
-        if self._at < 0 or step < self._at:
-            base = max(k for k in self._checkpoints if k <= step)
-            self._load(base)
-        else:
-            nearer = [k for k in self._checkpoints if self._at < k <= step]
-            if nearer:
-                self._load(max(nearer))
+        if at < 0 or step != at + 1:
+            # Not the sequential next step: start from the nearest
+            # checkpoint unless the cursor is already at or past it.
+            base = self._steps[bisect_right(self._steps, step) - 1]
+            if at < 0 or step < at or base > at:
+                self._load(base)
         while self._at < step:
             self._advance()
 
@@ -708,7 +712,6 @@ class _SuperstepReplayer:
         self._at += 1
         return pos, rids, old_rows, new_rows
 
-    # -- accessors (all position the cursor as a side effect) --------------
     def step_data(self, step: int):
         """``(selected, rule_ids, old_rows, new_rows)`` of action ``step``.
 
@@ -718,26 +721,6 @@ class _SuperstepReplayer:
         """
         self.seek(step)
         return self._advance()
-
-    def states_at(self, step: int):
-        """The live cursor array at configuration ``step`` (do not retain)."""
-        self.seek(step)
-        return self._states
-
-    def configuration_at(self, step: int) -> Configuration:
-        """Configuration ``step`` as an immutable decoded snapshot."""
-        self.seek(step)
-        return Configuration._from_trusted_dict(
-            dict(zip(self._index.vertices, self._codec.decode(self._states)))
-        )
-
-    def view_at(self, step: int) -> ArrayStateView:
-        """A live :class:`ArrayStateView` of configuration ``step``.
-
-        Valid only until the cursor moves — consume immediately.
-        """
-        self.seek(step)
-        return ArrayStateView(self._index, self._states, self._codec)
 
 
 class _SuperstepActionLog(Sequence):
@@ -864,8 +847,8 @@ class VectorEngine:
         "last_final_configuration",
     )
 
-    #: Default superstep cadence: K synchronous steps executed per kernel
-    #: block, and one state-array checkpoint retained per block boundary.
+    #: Default superstep cadence: one state-array checkpoint retained every
+    #: K synchronous steps, so a random trace read replays at most K steps.
     DEFAULT_SUPERSTEP = 64
 
     #: Sparse-refresh density threshold: after a firing whose changed rows
@@ -1105,32 +1088,34 @@ class VectorEngine:
         initial_array=None,
         superstep: Optional[int] = None,
     ) -> Execution:
-        """Run up to ``max_steps`` *synchronous* actions in kernel blocks.
+        """Run up to ``max_steps`` *synchronous* actions with checkpointed traces.
 
         Same contract — and bit-identical observable executions — as
-        :meth:`run` under a synchronous daemon, but executes ``superstep``
-        (default :attr:`DEFAULT_SUPERSTEP`) steps per block as pure array
-        operations: no daemon call, no per-step trace recording, no per-step
-        ``stop_when``.  What makes that sound is ``daemon.synchronous``: the
-        selection of every step is the full enabled set, so the schedule is
-        deterministic and there is no per-step decision to consult.
+        :meth:`run` under a synchronous daemon, but each step is pure array
+        work: no daemon call and no per-step activation records.  What makes
+        that sound is ``daemon.synchronous``: the selection of every step is
+        the full enabled set, so the schedule is deterministic and there is
+        no per-step decision to consult.
 
-        * **Traces** record one state-array checkpoint per block boundary;
-          per-step configurations, deltas and activation records are
+        * **Traces** record one state-array checkpoint every ``superstep``
+          steps (default :attr:`DEFAULT_SUPERSTEP`); light-trace
+          configurations, deltas and every trace's activation records are
           reconstructed on demand by replaying the (deterministic) kernel
-          from the nearest checkpoint (:class:`_SuperstepReplayer`), so
-          memory stays O(n · steps / superstep) instead of O(n · steps).
-        * **stop_when** is evaluated in batch at block boundaries: a second
-          cursor replays the block's configurations strictly in order,
-          handing each to the predicate with its exact step index — so
-          stateful in-order observers (``SafetyMonitor``) work unchanged —
-          and a trigger at step ``t`` rolls the recorded run back to exactly
-          the prefix the single-step engine would have kept.
+          from the nearest checkpoint (:class:`_SuperstepReplayer`), so a
+          light trace's memory stays O(n · steps / superstep) instead of
+          O(n · steps).  Full traces decode each changed configuration as
+          the run produces it, exactly as :meth:`run` does.
+        * **stop_when** is called once per step, on the live configuration
+          (an :class:`ArrayStateView` in light mode, the decoded snapshot in
+          full mode) with its exact step index, before that step fires — so
+          stateful in-order observers (``SafetyMonitor``) work unchanged and
+          a trigger at step ``t`` ends the run with exactly the prefix the
+          single-step engine keeps.
         * **Terminal detection** stays in-kernel: an empty enabled mask ends
-          the block early (``truncated=False``), and a fixed point (enabled
-          vertices whose firing changes nothing) fast-forwards the remaining
-          budget without further kernel work when no ``stop_when`` needs
-          per-index evaluation.
+          the run (``truncated=False``), and a fixed point (enabled vertices
+          whose firing changes nothing) fast-forwards the remaining budget
+          without further kernel work when no ``stop_when`` needs per-index
+          evaluation.
         """
         import numpy as np
 
@@ -1158,45 +1143,18 @@ class VectorEngine:
         vertices = index.vertices
         light = trace == "light"
 
+        live_view = ArrayStateView(index, states, codec) if light else None
+        configurations: List[Configuration] = [initial]
         enabled_sets: List[FrozenSet[VertexId]] = []
         step_counts: List[int] = []
         checkpoints: Dict[int, object] = {0: states.copy()}
-        replayer = _SuperstepReplayer(
-            codec, kernel, index, checkpoints, self._refresh_rule_ids
-        )
-        # The boundary stop_when scan keeps its own strictly sequential
-        # cursor so the main loop's state array (which runs ahead of the
-        # scanned index) is never observed by the predicate.
-        scanner = (
-            _SuperstepReplayer(codec, kernel, index, checkpoints, self._refresh_rule_ids)
-            if stop_when is not None
-            else None
-        )
-        scanned_to = -1
-
-        def scan_until(limit: int) -> Optional[int]:
-            """First index in ``scanned_to+1 .. limit`` where ``stop_when``
-            fires (observing replayed configurations in order), or None."""
-            nonlocal scanned_to
-            while scanned_to < limit:
-                target = scanned_to + 1
-                observed = (
-                    scanner.view_at(target)
-                    if light
-                    else scanner.configuration_at(target)
-                )
-                if stop_when(observed, target):
-                    return target
-                scanned_to = target
-            return None
-
         steps = 0
         truncated = True
+        current = initial
         rule_ids = kernel.enabled_rules(states, index)
         mask_cached = None
         enabled_fs: FrozenSet[VertexId] = frozenset()
         enabled_pos = None
-        stop_at: Optional[int] = None
         while True:
             mask = rule_ids != -1
             if mask_cached is None or not np.array_equal(mask, mask_cached):
@@ -1209,20 +1167,14 @@ class VectorEngine:
                         map(vertices.__getitem__, enabled_pos.tolist())
                     )
             enabled_sets.append(enabled_fs)
-            # Batched stop_when: at each block boundary (and at entry, for
-            # index 0) replay the block just executed strictly in order and
-            # hand every configuration to the predicate with its exact step
-            # index.  Scanning *after* recording the boundary's enabled set
-            # keeps rollback prefixes complete.
-            if stop_when is not None and steps % superstep == 0:
-                stop_at = scan_until(steps)
-                if stop_at is not None:
-                    break
+            if stop_when is not None and stop_when(
+                live_view if light else current, steps
+            ):
+                break
             if not enabled_fs:
                 truncated = False
                 break
             if steps == max_steps:
-                truncated = True
                 break
             rids = rule_ids[enabled_pos]
             old_rows = states[enabled_pos]  # fancy indexing copies: atomic snapshot
@@ -1234,6 +1186,12 @@ class VectorEngine:
                 rule_ids = self._refresh_rule_ids(
                     rule_ids, states, enabled_pos, changed_rows
                 )
+                if not light:
+                    current = Configuration._from_trusted_dict(
+                        dict(zip(vertices, codec.decode(states)))
+                    )
+            if not light:
+                configurations.append(current)
             step_counts.append(int(enabled_pos.size))
             steps += 1
             if not any_change and stop_when is None:
@@ -1244,33 +1202,22 @@ class VectorEngine:
                 remaining = max_steps - steps
                 enabled_sets.extend([enabled_fs] * remaining)
                 step_counts.extend([step_counts[-1]] * remaining)
+                if not light:
+                    configurations.extend([current] * remaining)
                 steps = max_steps
                 enabled_sets.append(enabled_fs)
-                truncated = True
                 break
             if steps % superstep == 0:
                 checkpoints[steps] = states.copy()
-        if stop_when is not None and stop_at is None:
-            # Scan the tail block (terminal, budget-exhausted, or partial).
-            stop_at = scan_until(steps)
-        if stop_at is not None:
-            # Roll back to exactly the prefix the single-step engine keeps
-            # when stop_when fires at stop_at: stop_at completed steps, the
-            # enabled set of stop_at recorded, truncated.
-            steps = stop_at
-            truncated = True
-            del enabled_sets[steps + 1 :]
-            del step_counts[steps:]
-            for key in [k for k in checkpoints if k > steps]:
-                del checkpoints[key]
-            # The live state array ran ahead of the rollback point; the
-            # replayer reconstructs the kept prefix's endpoint.
-            self.last_final_configuration = replayer.configuration_at(steps)
-        else:
-            self.last_final_configuration = Configuration._from_trusted_dict(
-                dict(zip(vertices, codec.decode(states)))
-            )
 
+        self.last_final_configuration = (
+            Configuration._from_trusted_dict(dict(zip(vertices, codec.decode(states))))
+            if light
+            else current
+        )
+        replayer = _SuperstepReplayer(
+            kernel, index, checkpoints, self._refresh_rule_ids
+        )
         selections = enabled_sets[:steps]
         action_log = _SuperstepActionLog(
             replayer, step_counts, vertices, kernel.rule_names, codec
@@ -1285,13 +1232,6 @@ class VectorEngine:
                 truncated=truncated,
                 deltas=_SuperstepDeltaLog(action_log),
             )
-        configurations: List[Configuration] = [initial]
-        current = initial
-        for step_index in range(steps):
-            _selected, _rids, old_rows, new_rows = replayer.step_data(step_index)
-            if bool(np.any(new_rows != old_rows)):
-                current = replayer.configuration_at(step_index + 1)
-            configurations.append(current)
         return Execution(
             configurations=configurations,
             selections=selections,

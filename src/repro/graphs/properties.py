@@ -323,35 +323,51 @@ def longest_chordless_path_length(graph: Graph, budget: int = DEFAULT_SEARCH_BUD
     Used by the synchronous unison bound ``alpha + lcp(g) + diam(g)`` quoted
     in Case 3 of the Theorem 2 proof.  Falls back to ``n`` when the search
     budget is exhausted.
+
+    An explicit-stack depth-first search (no recursion limit on long paths):
+    ``touches[w]`` counts the interior path vertices adjacent to ``w``, so
+    the chordless test is O(1).  Every extension of a path counts as one
+    node expansion; the search gives up, returning ``n``, as soon as the
+    count exceeds ``budget``.
     """
     adjacency = {v: graph.neighbors(v) for v in graph.vertices}
+    touches: Dict[VertexId, int] = dict.fromkeys(graph.vertices, 0)
     best = 0
     expansions = 0
-    exact = True
-
-    def extend(path: List[VertexId]) -> None:
-        nonlocal best, expansions, exact
-        if expansions > budget:
-            exact = False
-            return
-        last = path[-1]
-        extended = False
-        for w in adjacency[last]:
-            if w in path:
-                continue
-            interior = path[:-1]
-            if any(w in adjacency[x] for x in interior):
-                continue
-            expansions += 1
-            extended = True
-            extend(path + [w])
-        if not extended:
-            best = max(best, len(path) - 1)
 
     for start in graph.sorted_vertices():
-        extend([start])
-        if not exact:
+        if expansions > budget:
             return graph.n
+        path = [start]
+        on_path = {start}
+        stack = [iter(adjacency[start])]
+        extended = [False]
+        while stack:
+            for w in stack[-1]:
+                # Chordless condition: w may only touch the path at its
+                # last vertex.
+                if w in on_path or touches[w]:
+                    continue
+                expansions += 1
+                if expansions > budget:
+                    return graph.n
+                extended[-1] = True
+                # Extend: the current last vertex becomes interior.
+                for x in adjacency[path[-1]]:
+                    touches[x] += 1
+                path.append(w)
+                on_path.add(w)
+                stack.append(iter(adjacency[w]))
+                extended.append(False)
+                break
+            else:
+                stack.pop()
+                if not extended.pop():
+                    best = max(best, len(path) - 1)
+                on_path.discard(path.pop())
+                if path:
+                    for x in adjacency[path[-1]]:
+                        touches[x] -= 1
     return best
 
 

@@ -18,6 +18,12 @@ from repro.graphs import (
 )
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (the whole suite still runs it)"
+    )
+
+
 def shrikhande_graph() -> Graph:
     """The Shrikhande graph, the smallest Doob graph: 16 vertices,
     6-regular, not a ring.  Built as the Cayley graph of Z4 x Z4 with

@@ -150,6 +150,15 @@ class TestHoleAndLcp:
         # Removing one vertex of the cycle leaves a chordless path.
         assert longest_chordless_path_length(ring_graph(6)) == 4
 
+    def test_lcp_long_graphs_do_not_recurse(self):
+        # Both exhaust the default budget and fall back to n.
+        assert longest_chordless_path_length(path_graph(1200)) == 1200
+        assert longest_chordless_path_length(ring_graph(1500)) == 1500
+
+    def test_lcp_budget_exhaustion_falls_back_to_n(self):
+        assert longest_chordless_path_length(path_graph(40), budget=10) == 40
+        assert longest_chordless_path_length(petersen_graph(), budget=0) == 10
+
 
 class TestProfile:
     def test_profile_ring(self):

@@ -5,10 +5,12 @@ against the reference engine through the simulator; these tests drive
 :meth:`VectorEngine.run_supersteps` directly at adversarial cadences
 (superstep 1, 3, 5 against traces hundreds of steps long) and pin the
 pieces the batched loop adds over the single-step path: checkpointed
-replay at non-checkpoint indices, mid-block ``stop_when`` rollback,
-mid-block terminal detection, the fixed-point fast-forward, the
-vectorized sparse guard refresh (subset kernels), and the vectorized
-privilege fast path of ``spec_ME``.  Everything here needs real NumPy;
+replay at non-checkpoint indices, ``stop_when`` evaluated inline at
+every step (mid-block stops on rings and non-ring graphs, and a
+monitored run that fires the kernel exactly once per step), mid-block
+terminal detection, the fixed-point fast-forward, the vectorized sparse
+guard refresh (subset kernels), and the vectorized privilege fast path
+of ``spec_ME``.  Everything here needs real NumPy;
 the no-NumPy degradation is covered in ``test_engine_equivalence``.
 """
 
@@ -28,6 +30,7 @@ from repro.core import (
     IntCodec,
     Protocol,
     Rule,
+    SafetyMonitor,
     Simulator,
     SynchronousDaemon,
     VectorEngine,
@@ -37,6 +40,7 @@ from repro.graphs import random_connected_graph, ring_graph
 from repro.mutex import SSME, DijkstraTokenRing
 from repro.mutex.specification import MutualExclusionSpec
 from repro.unison import AsynchronousUnison
+from repro.unison.array_kernel import UnisonArrayKernel
 
 
 def _records(execution, index):
@@ -145,6 +149,113 @@ def test_stop_when_rolls_back_to_the_exact_step(target):
     _assert_same_trace(batched, single)
     assert batched.steps == target
     assert batched.truncated
+
+
+STOP_PROTOCOLS = {"ssme": SSME, "unison": AsynchronousUnison}
+STOP_SUPERSTEP = 4
+STOP_HORIZON = 40
+
+
+@pytest.mark.parametrize("protocol_name", sorted(STOP_PROTOCOLS))
+@pytest.mark.parametrize("trace", ["full", "light"])
+@pytest.mark.parametrize(
+    "target",
+    [0, STOP_SUPERSTEP - 1, STOP_SUPERSTEP, STOP_SUPERSTEP + 1, STOP_HORIZON, None],
+)
+def test_stop_when_keeps_the_exact_prefix_beyond_rings(
+    nonring_graph, protocol_name, trace, target
+):
+    """Stops at block-boundary neighbours, the first and the last index
+    (``None``: never) on every non-ring fixture graph — Shrikhande, grid,
+    Petersen, path, binary tree — keep the single-step prefix."""
+    protocol = STOP_PROTOCOLS[protocol_name](nonring_graph)
+    initial = protocol.random_configuration(random.Random(11))
+
+    def runner(run, **kwargs):
+        engine = VectorEngine(protocol)
+        seen = []
+
+        def stop_when(configuration, index):
+            seen.append(index)
+            return index == target
+
+        execution = run(
+            engine,
+            SynchronousDaemon(),
+            random.Random(0),
+            initial,
+            max_steps=STOP_HORIZON,
+            stop_when=stop_when,
+            trace=trace,
+            **kwargs,
+        )
+        return execution, seen, engine.last_final_configuration
+
+    single, seen_single, final_single = runner(VectorEngine.run)
+    batched, seen_batched, final_batched = runner(
+        VectorEngine.run_supersteps, superstep=STOP_SUPERSTEP
+    )
+    last = STOP_HORIZON if target is None else target
+    assert seen_batched == seen_single == list(range(last + 1))
+    _assert_same_trace(batched, single)
+    assert batched.steps == last
+    assert final_batched == final_single == batched.final
+
+
+def _count_fires(monkeypatch):
+    """Count ``UnisonArrayKernel.fire`` calls (SSME inherits the kernel)."""
+    calls = []
+    original = UnisonArrayKernel.fire
+
+    def fire(self, *args):
+        calls.append(None)
+        return original(self, *args)
+
+    monkeypatch.setattr(UnisonArrayKernel, "fire", fire)
+    return calls
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_monitored_run_fires_each_step_once(trace, monkeypatch):
+    """A ``SafetyMonitor`` never stops a run; the run still fires the
+    kernel once per step — the predicate never re-simulates a block."""
+    protocol = SSME(ring_graph(24))
+    initial = protocol.random_configuration(random.Random(2))
+    engine = VectorEngine(protocol)
+    monitor = SafetyMonitor([MutualExclusionSpec(protocol)], protocol)
+    calls = _count_fires(monkeypatch)
+    execution = engine.run_supersteps(
+        SynchronousDaemon(),
+        random.Random(0),
+        initial,
+        max_steps=150,
+        stop_when=monitor.observe,
+        trace=trace,
+        superstep=8,
+    )
+    fired = len(calls)
+    assert execution.steps == 150
+    assert fired == execution.steps
+    oracle = engine.run(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=150, trace=trace
+    )
+    _assert_same_trace(execution, oracle)
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_monitored_simulator_run_fires_each_step_once(trace, monkeypatch):
+    protocol = SSME(ring_graph(24))
+    initial = protocol.random_configuration(random.Random(4))
+    simulator = Simulator(
+        protocol, SynchronousDaemon(), rng=random.Random(0), engine="auto", trace=trace
+    )
+    monitor = SafetyMonitor([MutualExclusionSpec(protocol)], protocol)
+    calls = _count_fires(monkeypatch)
+    execution = simulator.run(initial, max_steps=150, stop_when=monitor.observe)
+    fired = len(calls)
+    assert simulator.last_run_backend == "vector-superstep"
+    assert execution.steps == 150
+    assert fired == execution.steps
 
 
 def test_supersteps_require_a_synchronous_daemon():
