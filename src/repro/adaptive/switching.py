@@ -11,10 +11,10 @@ detected, and demotes back to the dict paths when sparsity returns.
 The run is executed as a sequence of *segments*, each delegated to
 :meth:`IncrementalEngine.run` with a fixed backend.  State crosses backend
 boundaries exactly the way it crosses the Simulator API: the segment's
-final :class:`~repro.core.Configuration` (via the engines'
-``last_final_configuration`` hook, so no light-trace replay is paid) seeds
-the next segment, where the array backends re-encode it through the
-protocol's :class:`~repro.core.ArrayCodec`.
+final :class:`~repro.core.Configuration` (``Execution.final``, which every
+engine seeds into its light trace, so no replay is paid) seeds the next
+segment, where the array backends re-encode it through the protocol's
+:class:`~repro.core.ArrayCodec`.
 
 **Equivalence guarantee.**  The stitched execution is bit-for-bit the
 execution any fixed backend produces:
@@ -41,7 +41,6 @@ import bisect
 import random
 from typing import (
     Callable,
-    Dict,
     FrozenSet,
     List,
     NamedTuple,
@@ -52,7 +51,7 @@ from typing import (
 
 from ..core.daemons import Daemon
 from ..core.engine import IncrementalEngine
-from ..core.execution import DeltaLog, Execution, LazyActivations
+from ..core.execution import Execution, LazyActivations
 from ..core.state import Configuration
 from ..exceptions import SimulationError
 from ..types import VertexId
@@ -124,7 +123,7 @@ class _ChainedSequence(Sequence):
     """Read-only concatenation view over per-segment sequences.
 
     Keeps every part as-is (no copying, no materialization) — crucial for
-    lazy parts like the superstep path's replayed logs.  Sequential access
+    lazy parts like the vector engine's replayed logs.  Sequential access
     is O(1) amortized on top of the parts' own access cost.
     """
 
@@ -153,38 +152,6 @@ class _ChainedSequence(Sequence):
         return self._parts[part][index - self._offsets[part]]
 
 
-class _ChainedDeltaLog(_ChainedSequence, DeltaLog):
-    """Per-segment delta logs chained into one lazy :class:`DeltaLog`."""
-
-    __slots__ = ()
-
-
-class _StitchedActivations(LazyActivations):
-    """Per-segment lazy activation logs chained into one.
-
-    The aggregate methods delegate to the per-segment logs so their
-    specialized implementations keep working — the superstep log computes
-    ``moves`` from per-block firing counts without replaying a single
-    action, and that property must survive stitching.
-    """
-
-    __slots__ = ("_segments",)
-
-    def __init__(self, segments: Sequence[LazyActivations]) -> None:
-        super().__init__(_ChainedSequence([part._raw for part in segments]))
-        self._segments = list(segments)
-
-    def moves(self) -> int:
-        return sum(part.moves() for part in self._segments)
-
-    def rule_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for part in self._segments:
-            for name, count in part.rule_counts().items():
-                counts[name] = counts.get(name, 0) + count
-        return counts
-
-
 class AdaptiveEngine:
     """Segment-wise runner that re-selects the backend mid-run.
 
@@ -204,9 +171,6 @@ class AdaptiveEngine:
         Minimum number of steps a segment must run before the policy may
         end it with a switch.  Bounds oscillation: a run of S steps pays at
         most ``S / dwell`` backend transitions.
-    superstep:
-        Forwarded to the superstep backend (block cadence); None keeps the
-        engine default.
     """
 
     __slots__ = (
@@ -214,10 +178,8 @@ class AdaptiveEngine:
         "_graph",
         "_detector_factory",
         "_dwell",
-        "_superstep",
         "last_run_backend",
         "last_run_switches",
-        "last_final_configuration",
         "last_run_estimate",
     )
 
@@ -229,7 +191,6 @@ class AdaptiveEngine:
         incremental: IncrementalEngine,
         detector_factory: Optional[Callable[[int], RegimeDetector]] = None,
         dwell: Optional[int] = None,
-        superstep: Optional[int] = None,
     ) -> None:
         self._incremental = incremental
         self._graph = incremental._graph
@@ -237,16 +198,12 @@ class AdaptiveEngine:
         self._dwell = dwell if dwell is not None else self.DEFAULT_DWELL
         if self._dwell < 1:
             raise SimulationError(f"dwell must be >= 1, got {self._dwell}")
-        self._superstep = superstep
         #: Backend of the final segment of the most recent run (None before
         #: the first run) — what "the engine ended on".
         self.last_run_backend: Optional[str] = None
         #: Backend switch history of the most recent run as a tuple of
         #: :class:`SwitchEvent`; a run that never switched has one entry.
         self.last_run_switches: Tuple[SwitchEvent, ...] = ()
-        #: Final configuration of the most recent run (segment chaining
-        #: hook, mirrored from the delegated engines).
-        self.last_final_configuration: Optional[Configuration] = None
         #: The detector's final estimate of the most recent run.
         self.last_run_estimate = None
 
@@ -318,10 +275,9 @@ class AdaptiveEngine:
                 stop_when=segment_stop,
                 trace=trace,
                 backend=backend,
-                superstep=self._superstep,
             )
             actual = incremental.last_run_backend
-            current = incremental.last_final_configuration
+            current = execution.final
             segments.append(execution)
             if not switches or switches[-1].backend != actual:
                 switches.append(SwitchEvent(offset, actual))
@@ -337,7 +293,6 @@ class AdaptiveEngine:
 
         self.last_run_backend = incremental.last_run_backend
         self.last_run_switches = tuple(switches)
-        self.last_final_configuration = current
         self.last_run_estimate = detector.estimate()
         if len(segments) == 1:
             return segments[0]
@@ -404,10 +359,10 @@ class AdaptiveEngine:
             enabled = segment._enabled_sets
             enabled_sets.extend(enabled if position == 0 else enabled[1:])
         if trace == "light":
-            activations = _StitchedActivations(
-                [segment._activations for segment in segments]
+            activations = LazyActivations(
+                _ChainedSequence([segment._activations._raw for segment in segments])
             )
-            deltas = _ChainedDeltaLog(
+            deltas = _ChainedSequence(
                 [segment._configurations._deltas for segment in segments]
             )
             return Execution.from_activations(
@@ -417,6 +372,7 @@ class AdaptiveEngine:
                 enabled_sets=enabled_sets,
                 truncated=truncated,
                 deltas=deltas,
+                final=segments[-1].final,
             )
         configurations: List[Configuration] = []
         activations: List[Sequence] = []

@@ -124,7 +124,6 @@ class IncrementalEngine:
         "_vector",
         "_rank_order",
         "last_run_backend",
-        "last_final_configuration",
     )
 
     #: Refresh-mode switch: when ``len(changes) * _BATCH_DENSITY >= n`` the
@@ -149,11 +148,6 @@ class IncrementalEngine:
         #: Which backend the most recent ``run`` used ("vector-superstep",
         #: "vector" or "dict"); None before the first run.  Diagnostic only.
         self.last_run_backend: Optional[str] = None
-        #: The final configuration of the most recent ``run`` (None before
-        #: the first run).  Lets segment-wise callers (fault campaigns, the
-        #: adaptive engine) chain runs without forcing ``Execution.final``,
-        #: which on a light trace replays every delta.
-        self.last_final_configuration: Optional[Configuration] = None
 
     def _vector_engine(self):
         """The cached array-state backend, or None when unavailable.
@@ -185,7 +179,6 @@ class IncrementalEngine:
         stop_when: Optional[Callable[[Configuration, int], bool]] = None,
         trace: str = "full",
         backend: str = "auto",
-        superstep: Optional[int] = None,
     ) -> Execution:
         """Run up to ``max_steps`` actions from ``initial``.
 
@@ -204,9 +197,8 @@ class IncrementalEngine:
 
         ``backend`` selects between the dict-based sparse/batch paths
         (``"dict"``), the per-step NumPy array-state kernel (``"vector"``),
-        and the batched synchronous kernel loop (``"vector-superstep"``,
-        ``superstep`` steps per block — see
-        :meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks the
+        and the daemon-free synchronous kernel loop (``"vector-superstep"``,
+        see :meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks the
         array backend for daemons :func:`prefers_array_backend` approves
         when the protocol declares one, upgrading to supersteps for
         synchronous daemons.  Requests the capability cannot honour (no
@@ -231,29 +223,19 @@ class IncrementalEngine:
                     # honoured as-is (benchmarks compare the two paths).
                     if daemon.synchronous and backend != "vector":
                         self.last_run_backend = "vector-superstep"
-                        execution = vector.run_supersteps(
-                            daemon=daemon,
-                            rng=rng,
-                            initial=initial,
-                            max_steps=max_steps,
-                            stop_when=stop_when,
-                            trace=trace,
-                            initial_array=encoded,
-                            superstep=superstep,
-                        )
+                        run = vector.run_supersteps
                     else:
                         self.last_run_backend = "vector"
-                        execution = vector.run(
-                            daemon=daemon,
-                            rng=rng,
-                            initial=initial,
-                            max_steps=max_steps,
-                            stop_when=stop_when,
-                            trace=trace,
-                            initial_array=encoded,
-                        )
-                    self.last_final_configuration = vector.last_final_configuration
-                    return execution
+                        run = vector.run
+                    return run(
+                        daemon=daemon,
+                        rng=rng,
+                        initial=initial,
+                        max_steps=max_steps,
+                        stop_when=stop_when,
+                        trace=trace,
+                        initial_array=encoded,
+                    )
         self.last_run_backend = "dict"
         if set(initial) != set(self._vertices):
             raise SimulationError(
@@ -538,11 +520,10 @@ class IncrementalEngine:
             # attached, which is harmless — it only answers for this run's
             # own enabled sets (EnabledRanks.current).
             daemon.attach_ranks(None)
-        # The buffer already holds the final states; snapshotting it here is
-        # O(n) once, versus an O(steps · Δ) delta replay through
-        # ``Execution.final`` on a light trace.
-        self.last_final_configuration = buffer.snapshot() if light else current
         if light:
+            # The buffer already holds the final states: snapshotting it is
+            # O(n) once, versus an O(steps · Δ) delta replay through
+            # ``Execution.final``.
             return Execution.from_activations(
                 initial=initial,
                 selections=selections,
@@ -550,6 +531,7 @@ class IncrementalEngine:
                 enabled_sets=enabled_sets,
                 truncated=truncated,
                 deltas=deltas,
+                final=buffer.snapshot(),
             )
         return Execution(
             configurations=configurations,

@@ -18,27 +18,7 @@ from ..types import VertexId, VertexStateLike
 from .protocol import ActivationRecord
 from .state import Configuration
 
-__all__ = ["DeltaLog", "Execution", "LazyActivations", "LazyConfigurationTrace"]
-
-
-class DeltaLog(Sequence):
-    """Marker base for *lazily computed* per-action delta sequences.
-
-    :class:`LazyConfigurationTrace` normally copies the delta sequence it is
-    handed into a tuple (defensive against mutation).  A producer whose
-    deltas are themselves reconstructed on demand — the superstep path of
-    :class:`repro.core.vector.VectorEngine` replays them from periodic
-    state-array checkpoints — subclasses this marker so the trace keeps the
-    log as-is instead of materializing every delta dict up front.
-
-    Subclasses must implement ``__len__`` and integer ``__getitem__``
-    returning the ``{vertex: new_state}`` dict of the given action, must be
-    effectively immutable, and should make *sequential* access O(1)
-    amortized (``LazyConfigurationTrace.iter_from`` walks indices in
-    order).
-    """
-
-    __slots__ = ()
+__all__ = ["Execution", "LazyActivations", "LazyConfigurationTrace"]
 
 
 class LazyActivations(Sequence):
@@ -58,6 +38,11 @@ class LazyActivations(Sequence):
     Aggregates (:meth:`moves`, :meth:`rule_counts`,
     :meth:`activated_vertices`) read the raw log directly and never
     materialize a record.
+
+    A raw action may itself be lazy (the vector engine replays its actions
+    from checkpoints): its ``len`` must be cheap, and it may offer a
+    ``vertices()`` method returning the fired vertex set without building
+    the raw tuples, which :meth:`activated_vertices` then uses.
     """
 
     __slots__ = ("_raw", "_cached_index", "_cached_records")
@@ -87,7 +72,11 @@ class LazyActivations(Sequence):
     # -- record-free aggregates -------------------------------------------
     def activated_vertices(self, index: int) -> Set[VertexId]:
         """The vertices that fired during action ``index`` (no records)."""
-        return {raw[0] for raw in self._raw[index]}
+        raws = self._raw[index]
+        vertices = getattr(raws, "vertices", None)
+        if vertices is not None:
+            return vertices()
+        return {raw[0] for raw in raws}
 
     def moves(self) -> int:
         """Total number of firings across every action (no records)."""
@@ -117,6 +106,17 @@ class LazyConfigurationTrace(Sequence[Configuration]):
     retains only O(steps / stride) snapshots, keeping light mode's memory
     below a full trace even after the trace has been walked.
 
+    ``deltas[i]`` is the ``{vertex: new_state}`` dict of action ``i``.  The
+    sequence is kept as handed over (never copied), so it may itself be
+    computed on demand — the vector engine replays its deltas from periodic
+    state-array checkpoints — and must not be mutated afterwards; its
+    sequential access should be O(1) amortized (:meth:`iter_from` walks
+    indices in order).
+
+    A producer that already holds the final configuration passes it as
+    ``final``; it seeds the cache, so reading the last configuration
+    (``Execution.final``) never replays.
+
     Slicing (including ``Execution.prefix``/``suffix``/``configurations``)
     returns plain lists and therefore materializes every configuration in
     the requested range — use indexed access or iteration when memory
@@ -133,35 +133,12 @@ class LazyConfigurationTrace(Sequence[Configuration]):
         self,
         initial: Configuration,
         deltas: Sequence[Dict[VertexId, VertexStateLike]],
+        final: Optional[Configuration] = None,
     ) -> None:
-        # Lazy delta logs stay as-is: tuple-izing one would force every
-        # delta to be reconstructed up front, defeating its purpose.
-        self._deltas: Sequence[Dict[VertexId, VertexStateLike]] = (
-            deltas if isinstance(deltas, DeltaLog) else tuple(deltas)
-        )
+        self._deltas = deltas
         self._cache: Dict[int, Configuration] = {0: initial}
-
-    @classmethod
-    def from_activations(
-        cls,
-        initial: Configuration,
-        activations: Sequence[Sequence[ActivationRecord]],
-        deltas: Optional[Sequence[Dict[VertexId, VertexStateLike]]] = None,
-    ) -> "LazyConfigurationTrace":
-        """Build the trace from the activation records of each action.
-
-        ``deltas`` lets a producer that already tracked the per-action state
-        changes (the incremental engine does) hand them over directly
-        instead of having them re-derived from the records; when given, they
-        must list, for every action, exactly the vertices whose state
-        changed during it.
-        """
-        if deltas is None:
-            deltas = [
-                {record.vertex: record.new_state for record in records if record.changed}
-                for records in activations
-            ]
-        return cls(initial, deltas)
+        if final is not None:
+            self._cache.setdefault(len(self._deltas), final)
 
     def __len__(self) -> int:
         return len(self._deltas) + 1
@@ -305,17 +282,25 @@ class Execution:
         enabled_sets: Sequence[FrozenSet[VertexId]],
         truncated: bool,
         deltas: Optional[Sequence[Dict[VertexId, VertexStateLike]]] = None,
+        final: Optional[Configuration] = None,
     ) -> "Execution":
         """A light-trace execution: configurations reconstructed on demand.
 
-        Stores ``γ0`` plus the per-action activation deltas instead of every
-        configuration; see :class:`LazyConfigurationTrace` (and its
-        ``from_activations`` for the optional pre-tracked ``deltas``).
+        Stores ``γ0`` plus the per-action state deltas instead of every
+        configuration (see :class:`LazyConfigurationTrace`).  ``deltas`` lets
+        a producer that already tracked the per-action state changes hand
+        them over instead of having them re-derived from the records; when
+        given, they must list, for every action, exactly the vertices whose
+        state changed during it.  Every engine passes the ``final``
+        configuration it already holds, which makes :attr:`final` O(1).
         """
+        if deltas is None:
+            deltas = [
+                {record.vertex: record.new_state for record in records if record.changed}
+                for records in activations
+            ]
         return cls(
-            configurations=LazyConfigurationTrace.from_activations(
-                initial, activations, deltas
-            ),
+            configurations=LazyConfigurationTrace(initial, deltas, final),
             selections=selections,
             activations=activations,
             enabled_sets=enabled_sets,

@@ -389,6 +389,7 @@ class Simulator:
                 activations=activations,
                 enabled_sets=enabled_sets,
                 truncated=truncated,
+                final=current,
             )
         return Execution(
             configurations=configurations,

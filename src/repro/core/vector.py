@@ -62,9 +62,8 @@ from ..exceptions import SimulationError
 from ..graphs import Graph
 from ..types import VertexId, VertexStateLike
 from .daemons import Daemon
-from .execution import DeltaLog, Execution, LazyActivations
-from .protocol import ActivationRecord, Protocol
-from .rules import Rule
+from .execution import Execution, LazyActivations
+from .protocol import Protocol
 from .state import Configuration
 
 __all__ = [
@@ -587,57 +586,17 @@ class ArrayStateView(Mapping[VertexId, VertexStateLike]):
         return f"ArrayStateView(n={self._index.n})"
 
 
-class _VectorAction(Sequence):
-    """One action's raw firing log, decoded from arrays on demand.
+class _CheckpointReplayer:
+    """Deterministic re-execution of a vector run from its checkpoints.
 
-    Behaves as the sequence of raw ``(vertex, rule_name, old, new)`` tuples
-    :class:`~repro.core.LazyActivations` consumes, but stores only the four
-    compact arrays the engine already produced.  ``len`` never decodes, so
-    aggregate walks (``moves()``) stay array-cheap; iterating decodes the
-    whole action in bulk (four ``tolist`` calls), which only happens when a
-    caller actually inspects that action's records.
-    """
-
-    __slots__ = ("_selected", "_rule_ids", "_old", "_new", "_vertices", "_names", "_codec")
-
-    def __init__(self, selected, rule_ids, old, new, vertices, names, codec) -> None:
-        self._selected = selected
-        self._rule_ids = rule_ids
-        self._old = old
-        self._new = new
-        self._vertices = vertices
-        self._names = names
-        self._codec = codec
-
-    def __len__(self) -> int:
-        return int(self._selected.size)
-
-    def _decoded(self) -> List[tuple]:
-        return list(
-            zip(
-                map(self._vertices.__getitem__, self._selected.tolist()),
-                map(self._names.__getitem__, self._rule_ids.tolist()),
-                self._codec.decode(self._old),
-                self._codec.decode(self._new),
-            )
-        )
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._decoded())
-
-    def __getitem__(self, position):
-        return self._decoded()[position]
-
-
-class _SuperstepReplayer:
-    """Deterministic re-execution of a superstep run from its checkpoints.
-
-    The superstep path records only periodic state-array snapshots; every
-    replayed per-step artefact (light-trace deltas, activation records) is
-    reconstructed on demand by replaying the kernel forward from the nearest
-    checkpoint at or before the requested index.  The kernel is a pure
-    function of the state array, so the replay is bit-identical to the
-    original run.
+    Every vector run records one state-array snapshot every ``superstep``
+    steps plus, per step, the row positions it fired — or None when it
+    fired the whole enabled set, which replay recomputes from the guards.
+    Every per-step artefact of its trace (light-trace deltas, activation
+    records) is reconstructed on demand by firing those positions forward
+    from the nearest checkpoint at or before the requested index.  The
+    kernel is a pure function of the state array, so the replay is
+    bit-identical to the original run.
 
     One mutable cursor (``_states``/``_rule_ids`` positioned at
     configuration ``_at``) is kept; sequential access — the dominant pattern
@@ -652,13 +611,14 @@ class _SuperstepReplayer:
         "_index",
         "_checkpoints",
         "_steps",
+        "_fired",
         "_refresh",
         "_at",
         "_states",
         "_rule_ids",
     )
 
-    def __init__(self, kernel, index, checkpoints, refresh) -> None:
+    def __init__(self, kernel, index, checkpoints, fired, refresh) -> None:
         self._kernel = kernel
         self._index = index
         #: step -> pristine state-array snapshot (never handed out).
@@ -666,6 +626,9 @@ class _SuperstepReplayer:
         #: The checkpointed steps, ascending.  Not all are multiples of the
         #: cadence: a fixed-point fast-forward checkpoints where it stopped.
         self._steps: List[int] = sorted(checkpoints)
+        #: Per step: the row positions fired, in the run's firing order, or
+        #: None for the whole enabled set.
+        self._fired: List[object] = fired
         #: ``(rule_ids, states, selected, changed_rows) -> rule_ids`` — the
         #: engine's (possibly sparse) guard-refresh, shared so replays take
         #: the same fast paths as the original run.
@@ -694,20 +657,21 @@ class _SuperstepReplayer:
             self._advance()
 
     def _advance(self):
-        """Fire one synchronous step on the cursor; returns the step data
+        """Fire the cursor's recorded step; returns the step data
         ``(selected, rule_ids, old_rows, new_rows)`` of the transition."""
         import numpy as np
 
-        rule_ids = self._rule_ids
-        pos = np.flatnonzero(rule_ids != -1)
-        rids = rule_ids[pos]
+        pos = self._fired[self._at]
+        if pos is None:
+            pos = np.flatnonzero(self._rule_ids != -1)
+        rids = self._rule_ids[pos]
         old_rows = self._states[pos]
         new_rows = self._kernel.fire(self._states, pos, rids, self._index)
         changed_rows = np.any(new_rows != old_rows, axis=1)
         if bool(changed_rows.any()):
             self._states[pos] = new_rows
             self._rule_ids = self._refresh(
-                rule_ids, self._states, pos, changed_rows
+                self._rule_ids, self._states, pos, changed_rows
             )
         self._at += 1
         return pos, rids, old_rows, new_rows
@@ -715,101 +679,66 @@ class _SuperstepReplayer:
     def step_data(self, step: int):
         """``(selected, rule_ids, old_rows, new_rows)`` of action ``step``.
 
-        All four arrays are fresh copies safe to retain; the cursor ends on
-        configuration ``step + 1`` so sequential action walks replay each
-        step exactly once.
+        ``selected`` may be the recorded position array (shared, never to
+        be mutated); the other three are fresh.  The cursor ends on
+        configuration ``step + 1`` so sequential walks replay each step
+        exactly once.
         """
         self.seek(step)
         return self._advance()
 
 
-class _SuperstepActionLog(Sequence):
-    """Per-action :class:`_VectorAction` sequence reconstructed by replay.
+class _ReplayedLog(Sequence):
+    """The raw per-action log of a vector run, replayed on demand.
 
-    The raw log handed to :class:`~repro.core.LazyActivations` by the
-    superstep path: ``log[i]`` replays action ``i`` through the shared
-    :class:`_SuperstepReplayer` and wraps its step data in the same
-    :class:`_VectorAction` the single-step path records eagerly.
+    ``log[i]`` is a :class:`_ReplayedAction`: the raw
+    ``(vertex, rule_name, old, new)`` tuples of action ``i`` as
+    :class:`~repro.core.LazyActivations` consumes them.  :meth:`delta`
+    serves the light trace's ``{vertex: new_state}`` deltas from the same
+    replay cursor.  Every selected vertex is enabled and fires, so
+    ``selections[i]`` is exactly the set of vertices action ``i`` fired.
     """
 
-    __slots__ = ("_replayer", "_counts", "_vertices", "_names", "_codec")
+    __slots__ = ("_replayer", "_selections", "_vertices", "_names", "_codec")
 
-    def __init__(self, replayer, counts, vertices, names, codec) -> None:
+    def __init__(self, replayer, selections, vertices, names, codec) -> None:
         self._replayer = replayer
-        self._counts = counts
+        self._selections = selections
         self._vertices = vertices
         self._names = names
         self._codec = codec
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._selections)
 
-    def _position_index(self, index: int) -> int:
+    def _action_index(self, index: int) -> int:
         if index < 0:
-            index += len(self._counts)
-        if not 0 <= index < len(self._counts):
+            index += len(self._selections)
+        if not 0 <= index < len(self._selections):
             raise IndexError(f"action index {index} out of range")
         return index
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        index = self._position_index(index)
+    def __getitem__(self, index: int) -> "_ReplayedAction":
+        return _ReplayedAction(self, self._action_index(index))
+
+    def records(self, index: int) -> List[tuple]:
+        """The raw firing tuples of action ``index`` (replays it)."""
         selected, rule_ids, old_rows, new_rows = self._replayer.step_data(index)
-        return _VectorAction(
-            selected, rule_ids, old_rows, new_rows,
-            self._vertices, self._names, self._codec,
+        return list(
+            zip(
+                map(self._vertices.__getitem__, selected.tolist()),
+                map(self._names.__getitem__, rule_ids.tolist()),
+                self._codec.decode(old_rows),
+                self._codec.decode(new_rows),
+            )
         )
 
-    def activated_positions(self, index: int):
-        """Row positions fired by action ``index`` (no state decoding)."""
-        return self._replayer.step_data(self._position_index(index))[0]
-
-
-class _SuperstepActivations(LazyActivations):
-    """:class:`LazyActivations` whose aggregates avoid replaying.
-
-    ``moves()`` reads the per-step selection counts the superstep loop
-    recorded as plain ints, and ``activated_vertices`` maps replayed row
-    positions straight to vertex ids without decoding any state — keeping
-    round counting on big-n light traces out of the codec entirely.
-    """
-
-    __slots__ = ()
-
-    def moves(self) -> int:
-        return sum(self._raw._counts)
-
-    def activated_vertices(self, index: int):
-        raw = self._raw
-        positions = raw.activated_positions(index)
-        return set(map(raw._vertices.__getitem__, positions.tolist()))
-
-
-class _SuperstepDeltaLog(DeltaLog):
-    """Per-action ``{vertex: new_state}`` deltas reconstructed by replay.
-
-    What the superstep path hands to :class:`LazyConfigurationTrace` in
-    light-trace mode — the :class:`~repro.core.DeltaLog` marker keeps the
-    trace from materializing every delta up front.
-    """
-
-    __slots__ = ("_log",)
-
-    def __init__(self, log: _SuperstepActionLog) -> None:
-        self._log = log
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def __getitem__(self, index):
+    def delta(self, index: int) -> Dict[VertexId, VertexStateLike]:
+        """The states action ``index`` changed (replays it)."""
         import numpy as np
 
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        log = self._log
-        selected, _rule_ids, old_rows, new_rows = log._replayer.step_data(
-            log._position_index(index)
+        selected, _rule_ids, old_rows, new_rows = self._replayer.step_data(
+            self._action_index(index)
         )
         changed_rows = np.any(new_rows != old_rows, axis=1)
         if not bool(changed_rows.any()):
@@ -821,10 +750,51 @@ class _SuperstepDeltaLog(DeltaLog):
             changed_new = new_rows[changed_rows]
         return dict(
             zip(
-                map(log._vertices.__getitem__, changed.tolist()),
-                log._codec.decode(changed_new),
+                map(self._vertices.__getitem__, changed.tolist()),
+                self._codec.decode(changed_new),
             )
         )
+
+
+class _ReplayedAction:
+    """One action of a :class:`_ReplayedLog`.
+
+    ``len`` and :meth:`vertices` read the recorded selection, so the
+    record-free aggregates of :class:`~repro.core.LazyActivations`
+    (``moves``, ``activated_vertices``) never replay; iterating replays the
+    action and decodes its records.
+    """
+
+    __slots__ = ("_log", "_index")
+
+    def __init__(self, log: _ReplayedLog, index: int) -> None:
+        self._log = log
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self._log._selections[self._index])
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._log.records(self._index))
+
+    def vertices(self):
+        """The vertices that fired, without replaying."""
+        return set(self._log._selections[self._index])
+
+
+class _ReplayedDeltaLog(Sequence):
+    """The light-trace deltas of a vector run, replayed on demand."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: _ReplayedLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, index: int) -> Dict[VertexId, VertexStateLike]:
+        return self._log.delta(index)
 
 
 class VectorEngine:
@@ -844,11 +814,11 @@ class VectorEngine:
         "_codec",
         "_kernel",
         "_subset_refresh",
-        "last_final_configuration",
     )
 
-    #: Default superstep cadence: one state-array checkpoint retained every
-    #: K synchronous steps, so a random trace read replays at most K steps.
+    #: Default checkpoint cadence: every vector run retains one state-array
+    #: checkpoint every K steps, so a random trace read replays at most K
+    #: steps.
     DEFAULT_SUPERSTEP = 64
 
     #: Sparse-refresh density threshold: after a firing whose changed rows
@@ -887,10 +857,6 @@ class VectorEngine:
         self._subset_refresh = (
             type(kernel).enabled_rules_for is not ArrayKernel.enabled_rules_for
         )
-        #: The final configuration of the most recent run (None before the
-        #: first).  Mirrors ``IncrementalEngine.last_final_configuration`` so
-        #: segment-wise callers never replay a light trace for its endpoint.
-        self.last_final_configuration: Optional[Configuration] = None
 
     def encode_initial(self, initial: Configuration):
         """``initial`` as an ``(n, width)`` array, or None when it does not
@@ -915,18 +881,100 @@ class VectorEngine:
         trace: str = "full",
         initial_array=None,
     ) -> Execution:
-        """Run up to ``max_steps`` actions from ``initial``.
+        """Run up to ``max_steps`` actions from ``initial``, asking
+        ``daemon.checked_select`` for every selection.
 
         Same contract (and same observable executions) as
         ``IncrementalEngine.run``; ``initial_array`` lets the caller pass a
         pre-encoded state array so backend selection can probe the codec
-        without encoding twice.
+        without encoding twice.  The trace is recorded as in :meth:`_run`,
+        with a checkpoint every :attr:`DEFAULT_SUPERSTEP` steps.
+        """
+        return self._run(
+            daemon, rng, initial, max_steps, stop_when, trace, initial_array,
+            self.DEFAULT_SUPERSTEP, lockstep=False,
+        )
+
+    def run_supersteps(
+        self,
+        daemon: Daemon,
+        rng,
+        initial: Configuration,
+        max_steps: int,
+        stop_when: Optional[Callable[[Configuration, int], bool]] = None,
+        trace: str = "full",
+        initial_array=None,
+        superstep: Optional[int] = None,
+    ) -> Execution:
+        """Run up to ``max_steps`` *synchronous* actions without daemon calls.
+
+        Same contract — and bit-identical observable executions — as
+        :meth:`run` under a synchronous daemon, but each step is pure array
+        work: the selection of every step is the full enabled set (that is
+        what ``daemon.synchronous`` promises), so the schedule is
+        deterministic and there is no per-step decision to consult.
+        ``superstep`` sets the checkpoint cadence (default
+        :attr:`DEFAULT_SUPERSTEP`).  A fixed point (enabled vertices whose
+        firing changes nothing) fast-forwards the remaining budget without
+        further kernel work when no ``stop_when`` needs per-index
+        evaluation.
+        """
+        if not daemon.synchronous:
+            raise SimulationError(
+                "run_supersteps requires a synchronous daemon: batched "
+                "superstep execution skips per-step daemon selection"
+            )
+        if superstep is None:
+            superstep = self.DEFAULT_SUPERSTEP
+        if superstep < 1:
+            raise SimulationError(f"superstep cadence must be >= 1, got {superstep}")
+        return self._run(
+            daemon, rng, initial, max_steps, stop_when, trace, initial_array,
+            superstep, lockstep=True,
+        )
+
+    def _run(
+        self,
+        daemon: Daemon,
+        rng,
+        initial: Configuration,
+        max_steps: int,
+        stop_when: Optional[Callable[[Configuration, int], bool]],
+        trace: str,
+        initial_array,
+        superstep: int,
+        lockstep: bool,
+    ) -> Execution:
+        """The one vector step loop behind :meth:`run` and
+        :meth:`run_supersteps`.
+
+        ``lockstep`` fires every enabled vertex at every step instead of
+        asking the daemon, and alone may fast-forward a fixed point.
+
+        * **Traces** record one state-array checkpoint every ``superstep``
+          steps plus the row positions fired at each step — None when the
+          step fired the whole enabled set (every lockstep step), so dense
+          runs retain no per-step array.  Activation records and
+          light-trace deltas are replayed on demand from the nearest
+          checkpoint (:class:`_CheckpointReplayer`), so a light trace's
+          memory stays O(n · steps / superstep) instead of O(n · steps);
+          full traces decode each changed configuration as the run produces
+          it.  Light traces are seeded with the final configuration, so
+          ``Execution.final`` never replays.
+        * **stop_when** is called once per step, on the live configuration
+          (an :class:`ArrayStateView` in light mode, the decoded snapshot in
+          full mode) with its exact step index, before that step fires — so
+          stateful in-order observers (``SafetyMonitor``) work unchanged.
+        * **Terminal detection** stays in-kernel: an empty enabled mask ends
+          the run (``truncated=False``).
         """
         import numpy as np
 
         if trace not in {"full", "light"}:
             raise SimulationError(f"unknown trace mode {trace!r}")
-        states = initial_array if initial_array is not None else self.encode_initial(initial)
+        states = (
+            initial_array if initial_array is not None else self.encode_initial(initial)
+        )
         if states is None:
             raise SimulationError(
                 "initial configuration does not fit the protocol's array codec"
@@ -935,23 +983,22 @@ class VectorEngine:
         codec = self._codec
         kernel = self._kernel
         vertices = index.vertices
-        rule_name_list = kernel.rule_names
-
         light = trace == "light"
+
         live_view = ArrayStateView(index, states, codec) if light else None
         configurations: List[Configuration] = [initial]
         selections: List[FrozenSet[VertexId]] = []
-        actions: List[_VectorAction] = []
         enabled_sets: List[FrozenSet[VertexId]] = []
-        deltas: List[Dict[VertexId, VertexStateLike]] = []
+        fired: List[object] = []
+        checkpoints: Dict[int, object] = {0: states.copy()}
+        steps = 0
         truncated = True
-
         current = initial
         rule_ids = kernel.enabled_rules(states, index)
         mask_cached = None
         enabled_fs: FrozenSet[VertexId] = frozenset()
         enabled_pos = None
-        for step_index in range(max_steps + 1):
+        while True:
             mask = rule_ids != -1
             if mask_cached is None or not np.array_equal(mask, mask_cached):
                 mask_cached = mask
@@ -964,78 +1011,70 @@ class VectorEngine:
                     )
             enabled_sets.append(enabled_fs)
             observed = live_view if light else current
-            if stop_when is not None and stop_when(observed, step_index):
-                truncated = True
+            if stop_when is not None and stop_when(observed, steps):
                 break
             if not enabled_fs:
                 truncated = False
                 break
-            if step_index == max_steps:
-                truncated = True
+            if steps == max_steps:
                 break
-            selection = daemon.checked_select(enabled_fs, observed, step_index, rng)
-
-            # A selection the size of the enabled set *is* the enabled set
-            # (checked_select guarantees selection ⊆ enabled), so the dense
-            # fast path reuses the cached position array.
-            if len(selection) == len(enabled_fs):
-                selected = enabled_pos
-            else:
-                position = index.position
-                selected = np.fromiter(
-                    (position[v] for v in selection),
-                    dtype=np.int64,
-                    count=len(selection),
-                )
+            # None records "the whole enabled set": replay recomputes its
+            # positions from the guards, so dense steps retain no array.
+            recorded = None
+            if not lockstep:
+                selection = daemon.checked_select(enabled_fs, observed, steps, rng)
+                selections.append(selection)
+                # A selection the size of the enabled set *is* the enabled
+                # set (checked_select guarantees selection ⊆ enabled).
+                if len(selection) != len(enabled_fs):
+                    position = index.position
+                    recorded = np.fromiter(
+                        (position[v] for v in selection),
+                        dtype=np.int64,
+                        count=len(selection),
+                    )
+            fired.append(recorded)
+            selected = enabled_pos if recorded is None else recorded
             rids = rule_ids[selected]
-            old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
+            old_rows = states[selected]  # fancy indexing copies: atomic snapshot
             new_rows = kernel.fire(states, selected, rids, index)
             changed_rows = np.any(new_rows != old_rows, axis=1)
             any_change = bool(changed_rows.any())
             if any_change:
                 states[selected] = new_rows
-
-            selections.append(selection)
-            actions.append(
-                _VectorAction(
-                    selected, rids, old_rows, new_rows, vertices, rule_name_list, codec
-                )
-            )
-            if light:
-                if any_change:
-                    if bool(changed_rows.all()):
-                        changed, changed_new = selected, new_rows
-                    else:
-                        changed = selected[changed_rows]
-                        changed_new = new_rows[changed_rows]
-                    deltas.append(
-                        dict(
-                            zip(
-                                map(vertices.__getitem__, changed.tolist()),
-                                codec.decode(changed_new),
-                            )
-                        )
-                    )
-                else:
-                    deltas.append({})
-            else:
-                if any_change:
-                    current = Configuration._from_trusted_dict(
-                        dict(zip(vertices, codec.decode(states)))
-                    )
-                configurations.append(current)
-            if any_change:
                 rule_ids = self._refresh_rule_ids(
                     rule_ids, states, selected, changed_rows
                 )
+                if not light:
+                    current = Configuration._from_trusted_dict(
+                        dict(zip(vertices, codec.decode(states)))
+                    )
+            if not light:
+                configurations.append(current)
+            steps += 1
+            if lockstep and not any_change and stop_when is None:
+                # Fixed point: enabled vertices whose firing changes nothing.
+                # Every remaining step is this exact step — record it
+                # wholesale instead of spinning the kernel.
+                checkpoints[steps] = states.copy()
+                remaining = max_steps - steps
+                enabled_sets.extend([enabled_fs] * remaining)
+                fired.extend([None] * remaining)
+                if not light:
+                    configurations.extend([current] * remaining)
+                steps = max_steps
+                enabled_sets.append(enabled_fs)
+                break
+            if steps % superstep == 0:
+                checkpoints[steps] = states.copy()
 
-        if light:
-            self.last_final_configuration = Configuration._from_trusted_dict(
-                dict(zip(vertices, codec.decode(states)))
-            )
-        else:
-            self.last_final_configuration = current
-        activations = LazyActivations(actions)
+        if lockstep:
+            selections = enabled_sets[:steps]
+        replayer = _CheckpointReplayer(
+            kernel, index, checkpoints, fired, self._refresh_rule_ids
+        )
+        log = _ReplayedLog(replayer, selections, vertices, kernel.rule_names, codec)
+        activations = LazyActivations(log)
         if light:
             return Execution.from_activations(
                 initial=initial,
@@ -1043,7 +1082,10 @@ class VectorEngine:
                 activations=activations,
                 enabled_sets=enabled_sets,
                 truncated=truncated,
-                deltas=deltas,
+                deltas=_ReplayedDeltaLog(log),
+                final=Configuration._from_trusted_dict(
+                    dict(zip(vertices, codec.decode(states)))
+                ),
             )
         return Execution(
             configurations=configurations,
@@ -1076,166 +1118,3 @@ class VectorEngine:
             return kernel.enabled_rules(states, index)
         rule_ids[dirty] = kernel.enabled_rules_for(states, dirty, index)
         return rule_ids
-
-    def run_supersteps(
-        self,
-        daemon: Daemon,
-        rng,
-        initial: Configuration,
-        max_steps: int,
-        stop_when: Optional[Callable[[Configuration, int], bool]] = None,
-        trace: str = "full",
-        initial_array=None,
-        superstep: Optional[int] = None,
-    ) -> Execution:
-        """Run up to ``max_steps`` *synchronous* actions with checkpointed traces.
-
-        Same contract — and bit-identical observable executions — as
-        :meth:`run` under a synchronous daemon, but each step is pure array
-        work: no daemon call and no per-step activation records.  What makes
-        that sound is ``daemon.synchronous``: the selection of every step is
-        the full enabled set, so the schedule is deterministic and there is
-        no per-step decision to consult.
-
-        * **Traces** record one state-array checkpoint every ``superstep``
-          steps (default :attr:`DEFAULT_SUPERSTEP`); light-trace
-          configurations, deltas and every trace's activation records are
-          reconstructed on demand by replaying the (deterministic) kernel
-          from the nearest checkpoint (:class:`_SuperstepReplayer`), so a
-          light trace's memory stays O(n · steps / superstep) instead of
-          O(n · steps).  Full traces decode each changed configuration as
-          the run produces it, exactly as :meth:`run` does.
-        * **stop_when** is called once per step, on the live configuration
-          (an :class:`ArrayStateView` in light mode, the decoded snapshot in
-          full mode) with its exact step index, before that step fires — so
-          stateful in-order observers (``SafetyMonitor``) work unchanged and
-          a trigger at step ``t`` ends the run with exactly the prefix the
-          single-step engine keeps.
-        * **Terminal detection** stays in-kernel: an empty enabled mask ends
-          the run (``truncated=False``), and a fixed point (enabled vertices
-          whose firing changes nothing) fast-forwards the remaining budget
-          without further kernel work when no ``stop_when`` needs per-index
-          evaluation.
-        """
-        import numpy as np
-
-        if trace not in {"full", "light"}:
-            raise SimulationError(f"unknown trace mode {trace!r}")
-        if not daemon.synchronous:
-            raise SimulationError(
-                "run_supersteps requires a synchronous daemon: batched "
-                "superstep execution skips per-step daemon selection"
-            )
-        if superstep is None:
-            superstep = self.DEFAULT_SUPERSTEP
-        if superstep < 1:
-            raise SimulationError(f"superstep cadence must be >= 1, got {superstep}")
-        states = (
-            initial_array if initial_array is not None else self.encode_initial(initial)
-        )
-        if states is None:
-            raise SimulationError(
-                "initial configuration does not fit the protocol's array codec"
-            )
-        index = self._index
-        codec = self._codec
-        kernel = self._kernel
-        vertices = index.vertices
-        light = trace == "light"
-
-        live_view = ArrayStateView(index, states, codec) if light else None
-        configurations: List[Configuration] = [initial]
-        enabled_sets: List[FrozenSet[VertexId]] = []
-        step_counts: List[int] = []
-        checkpoints: Dict[int, object] = {0: states.copy()}
-        steps = 0
-        truncated = True
-        current = initial
-        rule_ids = kernel.enabled_rules(states, index)
-        mask_cached = None
-        enabled_fs: FrozenSet[VertexId] = frozenset()
-        enabled_pos = None
-        while True:
-            mask = rule_ids != -1
-            if mask_cached is None or not np.array_equal(mask, mask_cached):
-                mask_cached = mask
-                enabled_pos = np.flatnonzero(mask)
-                if enabled_pos.size == index.n:
-                    enabled_fs = frozenset(vertices)
-                else:
-                    enabled_fs = frozenset(
-                        map(vertices.__getitem__, enabled_pos.tolist())
-                    )
-            enabled_sets.append(enabled_fs)
-            if stop_when is not None and stop_when(
-                live_view if light else current, steps
-            ):
-                break
-            if not enabled_fs:
-                truncated = False
-                break
-            if steps == max_steps:
-                break
-            rids = rule_ids[enabled_pos]
-            old_rows = states[enabled_pos]  # fancy indexing copies: atomic snapshot
-            new_rows = kernel.fire(states, enabled_pos, rids, index)
-            changed_rows = np.any(new_rows != old_rows, axis=1)
-            any_change = bool(changed_rows.any())
-            if any_change:
-                states[enabled_pos] = new_rows
-                rule_ids = self._refresh_rule_ids(
-                    rule_ids, states, enabled_pos, changed_rows
-                )
-                if not light:
-                    current = Configuration._from_trusted_dict(
-                        dict(zip(vertices, codec.decode(states)))
-                    )
-            if not light:
-                configurations.append(current)
-            step_counts.append(int(enabled_pos.size))
-            steps += 1
-            if not any_change and stop_when is None:
-                # Fixed point: enabled vertices whose firing changes nothing.
-                # Every remaining step is this exact step — record it
-                # wholesale instead of spinning the kernel.
-                checkpoints[steps] = states.copy()
-                remaining = max_steps - steps
-                enabled_sets.extend([enabled_fs] * remaining)
-                step_counts.extend([step_counts[-1]] * remaining)
-                if not light:
-                    configurations.extend([current] * remaining)
-                steps = max_steps
-                enabled_sets.append(enabled_fs)
-                break
-            if steps % superstep == 0:
-                checkpoints[steps] = states.copy()
-
-        self.last_final_configuration = (
-            Configuration._from_trusted_dict(dict(zip(vertices, codec.decode(states))))
-            if light
-            else current
-        )
-        replayer = _SuperstepReplayer(
-            kernel, index, checkpoints, self._refresh_rule_ids
-        )
-        selections = enabled_sets[:steps]
-        action_log = _SuperstepActionLog(
-            replayer, step_counts, vertices, kernel.rule_names, codec
-        )
-        activations = _SuperstepActivations(action_log)
-        if light:
-            return Execution.from_activations(
-                initial=initial,
-                selections=selections,
-                activations=activations,
-                enabled_sets=enabled_sets,
-                truncated=truncated,
-                deltas=_SuperstepDeltaLog(action_log),
-            )
-        return Execution(
-            configurations=configurations,
-            selections=selections,
-            activations=activations,
-            enabled_sets=enabled_sets,
-            truncated=truncated,
-        )

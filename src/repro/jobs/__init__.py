@@ -8,9 +8,9 @@ as a small service:
   (:class:`JobSpec`): protocol family × graph spec × daemon spec × pre-drawn
   seeds × horizon × metric set, with a canonical JSON form and a stable
   ``spec_key`` hash that folds in a per-driver code-version tag.
-* :mod:`repro.jobs.pool` — :class:`WorkerPool`, the persistent
-  process-pool generalization of ``parallel_map`` (ordered results,
-  per-task error context, streamed completion callbacks).
+* :mod:`repro.jobs.pool` — :class:`WorkerPool`, the persistent process
+  pool (ordered results, per-task error context, streamed completion
+  callbacks).
 * :mod:`repro.jobs.store` — :class:`ResultStore`, the content-addressed
   on-disk result cache (atomic writes, versioned schema), and
   :class:`Journal`, the per-sweep completion log behind resume/status.

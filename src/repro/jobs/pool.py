@@ -1,8 +1,9 @@
 """Persistent process worker pool with ordered results and task context.
 
-:class:`WorkerPool` generalizes the old ``parallel_map`` helper: same
-contract (order-preserving map, zero-overhead sequential default, caller
-pre-draws every seed so ``workers=`` never changes results), plus
+:class:`WorkerPool` is the one process-parallel primitive of the
+experiment sweeps: an order-preserving map with a zero-overhead sequential
+default (the caller pre-draws every seed, so ``workers=`` never changes
+results), plus
 
 * a **persistent** executor — one pool instance serves any number of
   ``run`` calls (one per driver in a multi-experiment sweep) without
@@ -15,8 +16,8 @@ pre-draws every seed so ``workers=`` never changes results), plus
   as each task finishes (completion order under parallelism), which is how
   the dispatcher checkpoints every completed job before the sweep ends.
 
-Tasks must be picklable values and workers module-level functions, exactly
-as before: protocol objects hold rule closures and are rebuilt inside the
+Tasks must be picklable values and workers module-level functions:
+protocol objects hold rule closures and are rebuilt inside the
 worker from primitive parameters.
 """
 

@@ -1,11 +1,12 @@
-"""Property test: the incremental AND vector engines are observationally
-equal to the reference engine.
+"""Property test: the incremental, vector and adaptive engines are
+observationally equal to the reference engine.
 
-For every protocol of the library, every daemon, random graph shapes and
-seeds, the executions produced by the incremental engine (both trace
-modes) and the vectorized array-state engine (both trace modes; protocols
-without a kernel exercise its graceful fallback) must match the reference
-engine's execution action for action: same configurations, same daemon
+For every protocol of the library, every daemon, random graph shapes, the
+non-ring fixture graphs (Shrikhande, grid, Petersen, path, binary tree) and
+seeds, the executions produced by the incremental engine, the vectorized
+array-state engine (single-step and superstep; protocols without a kernel
+exercise its graceful fallback) and the adaptive engine, each in both trace
+modes, must match the reference engine's execution action for action: same configurations, same daemon
 selections, same enabled sets, same truncation verdict, and the same
 activation records per action (record *order* within one action follows
 set iteration order and is compared order-insensitively).
@@ -32,6 +33,7 @@ from repro.core import (
     Daemon,
     DistributedDaemon,
     LocallyCentralDaemon,
+    RegimeSwitchingDaemon,
     RoundRobinCentralDaemon,
     Simulator,
     StarvationDaemon,
@@ -129,7 +131,8 @@ def naive_run(protocol, daemon, rng, initial, max_steps):
 #: (reference) entry.  The vector entries degrade to the incremental
 #: engine for protocols without a kernel (or without NumPy) — the runs are
 #: then redundant but the assertions still hold, which is exactly the
-#: graceful-fallback contract.
+#: graceful-fallback contract.  The adaptive entries stitch dict and vector
+#: segments whenever a run outlasts the detector's dwell.
 EQUIVALENCE_MODES = (
     ("reference", "full"),
     ("incremental", "full"),
@@ -138,6 +141,8 @@ EQUIVALENCE_MODES = (
     ("vector", "light"),
     ("vector-superstep", "full"),
     ("vector-superstep", "light"),
+    ("adaptive", "full"),
+    ("adaptive", "light"),
 )
 
 
@@ -300,6 +305,16 @@ def test_engines_agree_with_stop_when(protocol_name, daemon_name, seed, threshol
         assert list(light.configurations) == list(reference.configurations)
 
 
+@pytest.mark.parametrize("protocol_name", sorted(PROTOCOL_FACTORIES))
+@pytest.mark.parametrize("daemon_name", sorted(DAEMON_FACTORIES))
+def test_engines_agree_beyond_rings(nonring_graph, protocol_name, daemon_name):
+    """The whole chain reference ≡ incremental ≡ vector ≡ vector-superstep
+    ≡ adaptive on every non-ring fixture graph, long enough (past the
+    adaptive dwell) for dense schedules to stitch segments."""
+    protocol = PROTOCOL_FACTORIES[protocol_name](nonring_graph)
+    assert_equivalent_runs(protocol, daemon_name, seed=5, steps=40)
+
+
 @pytest.mark.parametrize("daemon_name", sorted(DAEMON_FACTORIES))
 def test_engines_agree_until_terminal_on_silent_protocols(daemon_name):
     """Silent protocols must reach the same terminal configuration."""
@@ -335,6 +350,27 @@ def test_vector_kernel_agrees_in_dense_regime(protocol_name, daemon_name, n, see
     NumPy installed the runs are asserted to really use the vector backend.
     """
     protocol = VECTOR_PROTOCOL_FACTORIES[protocol_name](ring_graph(n))
+    assert_vector_kernel_agrees(protocol, daemon_name, seed, steps)
+
+
+#: Kernel-declaring protocols defined on any graph (Dijkstra needs a ring).
+NONRING_VECTOR_PROTOCOLS = ("ssme", "unison")
+
+
+@pytest.mark.parametrize("protocol_name", NONRING_VECTOR_PROTOCOLS)
+@pytest.mark.parametrize("daemon_name", sorted(DENSE_DAEMON_FACTORIES))
+@pytest.mark.parametrize("seed", [0, 9])
+def test_vector_kernel_agrees_in_dense_regime_beyond_rings(
+    nonring_graph, protocol_name, daemon_name, seed
+):
+    """The dense-regime vector oracle on every non-ring fixture graph."""
+    protocol = VECTOR_PROTOCOL_FACTORIES[protocol_name](nonring_graph)
+    assert_vector_kernel_agrees(protocol, daemon_name, seed, steps=40)
+
+
+def assert_vector_kernel_agrees(protocol, daemon_name, seed, steps):
+    """Check the vector backend really runs (with NumPy), then compare
+    every engine/trace mode in the dense regime."""
     from repro.core import protocol_supports_vector
 
     simulator = Simulator(
@@ -404,6 +440,46 @@ class TestNoNumpyFallback:
             assert simulator.last_run_backend == "dict"
             assert list(execution.configurations) == list(reference.configurations)
             assert execution.truncated == reference.truncated
+
+    def test_superstep_requests_degrade_to_dict_without_numpy(self, monkeypatch):
+        """Superstep and auto requests under a synchronous daemon (and the
+        default unison validation) fall back to the dict engine."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        protocol = AsynchronousUnison(ring_graph(12))
+        for requested in ("vector-superstep", "auto"):
+            simulator = Simulator(
+                protocol, SynchronousDaemon(), rng=random.Random(0), engine=requested
+            )
+            assert simulator.engine == "incremental", requested
+            execution = simulator.run(
+                protocol.random_configuration(random.Random(1)), max_steps=24
+            )
+            assert simulator.last_run_backend == "dict", requested
+            assert execution.steps == 24
+
+    def test_adaptive_engine_is_one_dict_segment_without_numpy(self, monkeypatch):
+        """The adaptive engine's promotion targets are NumPy-only: a run
+        stays one dict segment and reproduces the incremental execution."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        protocol = SSME(ring_graph(16))
+        initial = protocol.random_configuration(random.Random(1))
+        runs = {}
+        for engine in ("incremental", "adaptive"):
+            simulator = Simulator(
+                protocol,
+                RegimeSwitchingDaemon(24, 48),
+                rng=random.Random(0),
+                engine=engine,
+            )
+            runs[engine] = simulator.run(initial, max_steps=144)
+            assert simulator.last_run_backend == "dict", engine
+        assert simulator.last_run_switches == ((0, "dict"),)
+        reference, adaptive = runs["incremental"], runs["adaptive"]
+        assert adaptive.steps == reference.steps
+        assert list(adaptive.configurations) == list(reference.configurations)
+        assert [adaptive.selection(i) for i in range(adaptive.steps)] == [
+            reference.selection(i) for i in range(reference.steps)
+        ]
 
     def test_capability_hooks_return_none_without_numpy(self, monkeypatch):
         from repro.core import protocol_supports_vector

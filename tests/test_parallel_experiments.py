@@ -1,17 +1,20 @@
-"""Tests for the opt-in process-parallel sweep helper.
+"""Tests for opt-in process parallelism in the experiment sweeps.
 
 The contract under test: ``workers=`` must never change any reported
 number — the task lists carry pre-drawn seeds, so sequential and parallel
-execution aggregate identical results — and the helper itself must be an
-order-preserving map with a zero-overhead sequential default.
+execution aggregate identical results — and the :class:`WorkerPool` the
+drivers fan out through must be an order-preserving map with a
+zero-overhead sequential default.  Every pool case runs sequentially and
+with two worker processes.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.exceptions import JobError
 from repro.experiments import theorem2_sync_upper, theorem3_async_upper
-from repro.experiments.parallel import parallel_map
+from repro.jobs import WorkerPool
 
 
 def _square(x):
@@ -22,37 +25,37 @@ def _reciprocal(x):
     return 1 / x
 
 
-class TestParallelMap:
-    def test_sequential_default_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2]) == [9, 1, 4]
-        assert parallel_map(_square, [], workers=4) == []
-        assert parallel_map(_square, [5], workers=4) == [25]
+def _map(worker, tasks, workers):
+    with WorkerPool(workers) as pool:
+        return pool.run(worker, tasks)
 
-    def test_parallel_preserves_order(self):
-        assert parallel_map(_square, list(range(7)), workers=3) == [
-            x * x for x in range(7)
-        ]
 
-    def test_negative_workers_rejected(self):
+@pytest.mark.parametrize("workers", [None, 2])
+class TestWorkerPoolMap:
+    def test_preserves_order(self, workers):
+        assert _map(_square, [3, 1, 2], workers) == [9, 1, 4]
+        assert _map(_square, list(range(7)), workers) == [x * x for x in range(7)]
+
+    def test_empty_input(self, workers):
+        assert _map(_square, [], workers) == []
+
+    def test_more_workers_than_tasks(self, workers):
+        wide = 4 if workers is None else workers + 2
+        assert _map(_square, [5], wide) == [25]
+        assert _map(_square, [5, 6, 7], wide) == [25, 36, 49]
+
+    def test_negative_workers_rejected(self, workers):
         with pytest.raises(ValueError):
-            parallel_map(_square, [1], workers=-1)
+            WorkerPool(-1 if workers is None else -workers)
 
-    def test_worker_failure_names_the_task(self):
-        from repro.exceptions import JobError
-
+    def test_worker_failure_names_the_task(self, workers):
         with pytest.raises(JobError) as info:
-            parallel_map(_reciprocal, [2, 1, 0, 5])
+            _map(_reciprocal, [2, 1, 0, 5], workers)
         message = str(info.value)
         assert "task 2" in message
-        assert "0" in message
+        assert "ZeroDivisionError" in message
+        assert "task: 0" in message
         assert isinstance(info.value.__cause__, ZeroDivisionError)
-
-    def test_worker_failure_in_subprocess_names_the_task(self):
-        from repro.exceptions import JobError
-
-        with pytest.raises(JobError) as info:
-            parallel_map(_reciprocal, [2, 1, 0, 5], workers=2)
-        assert "ZeroDivisionError" in str(info.value)
 
 
 class TestTheoremDriversParallel:

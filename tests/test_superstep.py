@@ -4,14 +4,17 @@ The engine equivalence suite pins ``vector-superstep`` trace-for-trace
 against the reference engine through the simulator; these tests drive
 :meth:`VectorEngine.run_supersteps` directly at adversarial cadences
 (superstep 1, 3, 5 against traces hundreds of steps long) and pin the
-pieces the batched loop adds over the single-step path: checkpointed
-replay at non-checkpoint indices, ``stop_when`` evaluated inline at
-every step (mid-block stops on rings and non-ring graphs, and a
-monitored run that fires the kernel exactly once per step), mid-block
-terminal detection, the fixed-point fast-forward, the vectorized sparse
-guard refresh (subset kernels), and the vectorized privilege fast path
-of ``spec_ME``.  Everything here needs real NumPy;
-the no-NumPy degradation is covered in ``test_engine_equivalence``.
+checkpoint trace every vector run records: replay at non-checkpoint
+indices (supersteps and single-step runs under central and distributed
+daemons), ``moves()``/``.final``/round counting that never fire the
+kernel (single-step, superstep and stitched adaptive light traces),
+``stop_when`` evaluated inline at every step (mid-block stops on rings
+and non-ring graphs, and a monitored run that fires the kernel exactly
+once per step), mid-block terminal detection, the fixed-point
+fast-forward, the vectorized sparse guard refresh (subset kernels), and
+the vectorized privilege fast path of ``spec_ME``.  Everything here needs
+real NumPy; the no-NumPy degradation is covered in
+``test_engine_equivalence``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from repro.core import (
     ArrayKernel,
     CentralDaemon,
     Configuration,
+    DistributedDaemon,
     GraphIndex,
     IntCodec,
     Protocol,
+    RegimeSwitchingDaemon,
     Rule,
     SafetyMonitor,
     Simulator,
@@ -92,29 +97,39 @@ def test_supersteps_match_single_step_at_every_cadence(
     _assert_same_trace(batched, single)
 
 
+REPLAY_RUNS = {
+    "supersteps": (SynchronousDaemon, VectorEngine.run_supersteps),
+    "run-cd": (CentralDaemon, VectorEngine.run),
+    "run-dd": (lambda: DistributedDaemon(0.4), VectorEngine.run),
+}
+
+
+@pytest.mark.parametrize("run_name", sorted(REPLAY_RUNS))
 @pytest.mark.parametrize("trace", ["full", "light"])
-def test_light_trace_random_access_at_non_checkpoint_indices(trace):
+def test_light_trace_random_access_at_non_checkpoint_indices(run_name, trace):
     """Replayed configurations are exact at arbitrary indices, visited in
-    arbitrary order (backward seeks reload the nearest checkpoint)."""
+    arbitrary order (backward seeks reload the nearest checkpoint), for
+    supersteps and for single-step runs whose daemon fires subsets."""
+    daemon_factory, run = REPLAY_RUNS[run_name]
     protocol = SSME(ring_graph(10))
     initial = protocol.random_configuration(random.Random(3))
-    engine = VectorEngine(protocol)
-    oracle = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=150, trace="full"
+    oracle = Simulator(
+        protocol, daemon_factory(), rng=random.Random(0), engine="incremental"
+    ).run(initial, max_steps=150)
+    daemon = daemon_factory()
+    daemon.bind(protocol)
+    replayed = run(
+        VectorEngine(protocol), daemon, random.Random(0), initial,
+        max_steps=150, trace=trace,
     )
-    batched = engine.run_supersteps(
-        SynchronousDaemon(),
-        random.Random(0),
-        initial,
-        max_steps=150,
-        trace=trace,
-        superstep=64,
-    )
+    assert VectorEngine.DEFAULT_SUPERSTEP == 64
+    assert replayed.steps == oracle.steps == 150
     for i in (150, 1, 63, 64, 65, 0, 127, 30, 128, 129, 99, 2):
-        assert dict(batched.configuration(i)) == dict(oracle.configuration(i)), i
+        assert dict(replayed.configuration(i)) == dict(oracle.configuration(i)), i
     for i in (149, 5, 64, 63, 100):
-        assert _records(batched, i) == _records(oracle, i), i
-    assert batched.count_rounds() == oracle.count_rounds()
+        assert replayed.selection(i) == oracle.selection(i), i
+        assert _records(replayed, i) == _records(oracle, i), i
+    assert replayed.count_rounds() == oracle.count_rounds()
 
 
 @pytest.mark.parametrize("target", [0, 1, 6, 63, 64, 65, 130])
@@ -171,8 +186,7 @@ def test_stop_when_keeps_the_exact_prefix_beyond_rings(
     protocol = STOP_PROTOCOLS[protocol_name](nonring_graph)
     initial = protocol.random_configuration(random.Random(11))
 
-    def runner(run, **kwargs):
-        engine = VectorEngine(protocol)
+    def runner(run, trace, **kwargs):
         seen = []
 
         def stop_when(configuration, index):
@@ -180,7 +194,7 @@ def test_stop_when_keeps_the_exact_prefix_beyond_rings(
             return index == target
 
         execution = run(
-            engine,
+            VectorEngine(protocol),
             SynchronousDaemon(),
             random.Random(0),
             initial,
@@ -189,17 +203,20 @@ def test_stop_when_keeps_the_exact_prefix_beyond_rings(
             trace=trace,
             **kwargs,
         )
-        return execution, seen, engine.last_final_configuration
+        return execution, seen
 
-    single, seen_single, final_single = runner(VectorEngine.run)
-    batched, seen_batched, final_batched = runner(
-        VectorEngine.run_supersteps, superstep=STOP_SUPERSTEP
+    single, seen_single = runner(VectorEngine.run, trace)
+    batched, seen_batched = runner(
+        VectorEngine.run_supersteps, trace, superstep=STOP_SUPERSTEP
     )
+    decoded, _ = runner(VectorEngine.run, "full")
     last = STOP_HORIZON if target is None else target
     assert seen_batched == seen_single == list(range(last + 1))
     _assert_same_trace(batched, single)
     assert batched.steps == last
-    assert final_batched == final_single == batched.final
+    # A light trace's final configuration is seeded by the run, not
+    # replayed: it must equal the one a full trace decodes step by step.
+    assert batched.final == single.final == decoded.configurations[-1]
 
 
 def _count_fires(monkeypatch):
@@ -213,6 +230,47 @@ def _count_fires(monkeypatch):
 
     monkeypatch.setattr(UnisonArrayKernel, "fire", fire)
     return calls
+
+
+LIGHT_RUNS = {
+    "run": (SynchronousDaemon, "vector", 200),
+    "run-dd": (lambda: DistributedDaemon(0.4), "vector", 200),
+    "supersteps": (SynchronousDaemon, "vector-superstep", 200),
+    "adaptive": (lambda: RegimeSwitchingDaemon(48, 96), "adaptive", 288),
+}
+
+
+@pytest.mark.parametrize("run_name", sorted(LIGHT_RUNS))
+def test_light_trace_aggregates_fire_no_kernel(run_name, monkeypatch):
+    """``moves()``, ``.final`` and round counting read what the run
+    recorded: none of them replays a single step, including across the
+    segments of a stitched adaptive trace."""
+    daemon_factory, engine, steps = LIGHT_RUNS[run_name]
+    protocol = SSME(ring_graph(24))
+    initial = protocol.random_configuration(random.Random(0))
+    simulator = Simulator(
+        protocol, daemon_factory(), rng=random.Random(0), engine=engine,
+        trace="light",
+    )
+    calls = _count_fires(monkeypatch)
+    execution = simulator.run(initial, max_steps=steps)
+    if engine == "adaptive":
+        backends = [event.backend for event in simulator.last_run_switches]
+        assert "vector" in backends and len(backends) >= 3
+    else:
+        assert simulator.last_run_backend == engine
+    fired = len(calls)
+    assert fired > 0
+    moves = execution.moves()
+    final = execution.final
+    rounds = execution.count_rounds()
+    assert len(calls) == fired
+    oracle = Simulator(
+        protocol, daemon_factory(), rng=random.Random(0), engine="incremental"
+    ).run(initial, max_steps=steps)
+    assert (moves, final, rounds) == (
+        oracle.moves(), oracle.final, oracle.count_rounds()
+    )
 
 
 @pytest.mark.parametrize("trace", ["full", "light"])
