@@ -50,10 +50,9 @@ from typing import (
 )
 
 from ..core.daemons import Daemon
-from ..core.engine import IncrementalEngine
+from ..core.engine import IncrementalEngine, resolve_backend
 from ..core.execution import Execution, LazyActivations
 from ..core.state import Configuration
-from ..exceptions import SimulationError
 from ..types import VertexId
 from .detector import RegimeDetector
 
@@ -87,7 +86,6 @@ class _ProbeDaemon(Daemon):
         self._inner = inner
         self._detector = detector
         self.offset = 0
-        self.dense = inner.dense
         self.synchronous = inner.synchronous
         self.density = inner.density
 
@@ -157,73 +155,28 @@ class AdaptiveEngine:
 
     One instance per :class:`IncrementalEngine` (the Simulator wires this
     up for ``engine="adaptive"``); stateless between runs apart from the
-    ``last_run_*`` diagnostics.
+    :attr:`last_run_switches` diagnostic.
 
     Parameters
     ----------
     incremental:
-        The dirty-set engine every segment is delegated to; its cached
-        vector capability is the promotion target.
-    detector_factory:
-        ``f(n) -> RegimeDetector`` building the per-run detector; defaults
-        to :class:`RegimeDetector` with its stock thresholds.
-    dwell:
-        Minimum number of steps a segment must run before the policy may
-        end it with a switch.  Bounds oscillation: a run of S steps pays at
-        most ``S / dwell`` backend transitions.
+        The dirty-set engine every segment is delegated to; the promotion
+        target is what :func:`~repro.core.engine.resolve_backend` makes of a
+        superstep request on it.
     """
 
-    __slots__ = (
-        "_incremental",
-        "_graph",
-        "_detector_factory",
-        "_dwell",
-        "last_run_backend",
-        "last_run_switches",
-        "last_run_estimate",
-    )
+    __slots__ = ("_incremental", "last_run_switches")
 
-    #: Default minimum segment length before a switch may fire.
+    #: Minimum number of steps a segment must run before the policy may end
+    #: it with a switch.  Bounds oscillation: a run of S steps pays at most
+    #: ``S / DEFAULT_DWELL`` backend transitions.
     DEFAULT_DWELL = 24
 
-    def __init__(
-        self,
-        incremental: IncrementalEngine,
-        detector_factory: Optional[Callable[[int], RegimeDetector]] = None,
-        dwell: Optional[int] = None,
-    ) -> None:
+    def __init__(self, incremental: IncrementalEngine) -> None:
         self._incremental = incremental
-        self._graph = incremental._graph
-        self._detector_factory = detector_factory
-        self._dwell = dwell if dwell is not None else self.DEFAULT_DWELL
-        if self._dwell < 1:
-            raise SimulationError(f"dwell must be >= 1, got {self._dwell}")
-        #: Backend of the final segment of the most recent run (None before
-        #: the first run) — what "the engine ended on".
-        self.last_run_backend: Optional[str] = None
         #: Backend switch history of the most recent run as a tuple of
         #: :class:`SwitchEvent`; a run that never switched has one entry.
         self.last_run_switches: Tuple[SwitchEvent, ...] = ()
-        #: The detector's final estimate of the most recent run.
-        self.last_run_estimate = None
-
-    def _make_detector(self) -> RegimeDetector:
-        if self._detector_factory is not None:
-            return self._detector_factory(self._graph.n)
-        return RegimeDetector(self._graph.n)
-
-    def _target_backend(
-        self, detector: RegimeDetector, daemon: Daemon, vector_ok: bool
-    ) -> Optional[str]:
-        """The backend the detector currently argues for (None: no opinion)."""
-        if not vector_ok:
-            return None
-        regime = detector.classify()
-        if regime == RegimeDetector.DENSE:
-            return "vector-superstep" if daemon.synchronous else "vector"
-        if regime == RegimeDetector.SPARSE:
-            return "dict"
-        return None
 
     def run(
         self,
@@ -240,14 +193,15 @@ class AdaptiveEngine:
         executions — see the module docstring's equivalence guarantee).
         """
         incremental = self._incremental
-        vector_ok = incremental._vector_engine() is not None
-        detector = self._make_detector()
+        # The backend a dense regime promotes to: "vector-superstep" or
+        # "vector", or "incremental" when the array kernels are unavailable.
+        promoted = resolve_backend("vector-superstep", daemon, incremental)
+        detector = RegimeDetector(len(initial))
         probe = _ProbeDaemon(daemon, detector)
-        dwell = self._dwell
 
         segments: List[Execution] = []
         switches: List[SwitchEvent] = []
-        backend = "dict"
+        backend = "incremental"
         offset = 0
         current = initial
         # Mutable cells shared with the per-segment stop predicate.
@@ -262,10 +216,9 @@ class AdaptiveEngine:
             # 1.0), so superstep segments skip the policy probe — with no
             # user predicate they run with stop_when=None, which is what
             # unlocks the in-kernel fixed-point fast-forward.
-            allow_switch = vector_ok and backend != "vector-superstep"
+            allow_switch = promoted != "incremental" and backend != "vector-superstep"
             segment_stop = self._segment_stop(
-                stop_when, state, offset, daemon, detector,
-                backend, dwell, allow_switch, vector_ok,
+                stop_when, state, offset, detector, backend, promoted, allow_switch
             )
             execution = incremental.run(
                 daemon=probe,
@@ -291,9 +244,7 @@ class AdaptiveEngine:
                 break
             backend = state["pending"]
 
-        self.last_run_backend = incremental.last_run_backend
         self.last_run_switches = tuple(switches)
-        self.last_run_estimate = detector.estimate()
         if len(segments) == 1:
             return segments[0]
         return self._stitch(segments, trace)
@@ -303,26 +254,26 @@ class AdaptiveEngine:
         stop_when: Optional[Callable],
         state: dict,
         offset: int,
-        daemon: Daemon,
         detector: RegimeDetector,
         backend: str,
-        dwell: int,
+        promoted: str,
         allow_switch: bool,
-        vector_ok: bool,
     ) -> Optional[Callable[[Configuration, int], bool]]:
         """The per-segment stop predicate (None when nothing to watch).
 
         Evaluates the user predicate exactly once per *global* index — a
         segment boundary re-presents the boundary index, which the
         ``last_checked`` cursor deduplicates — then, past the dwell, asks
-        the detector whether the segment should end with a backend switch.
-        A switch is only requested at a positive local index, so every
-        segment makes progress and the loop terminates.
+        the detector whether the segment should end with a switch: to
+        ``promoted`` in a dense regime, to ``"incremental"`` in a sparse
+        one.  A switch is only requested at a positive local index, so
+        every segment makes progress and the loop terminates.
         """
         if stop_when is None and not allow_switch:
             return None
 
-        target_backend = self._target_backend
+        dwell = self.DEFAULT_DWELL
+        targets = {RegimeDetector.DENSE: promoted, RegimeDetector.SPARSE: "incremental"}
 
         def segment_stop(observed, local_index: int) -> bool:
             global_index = offset + local_index
@@ -332,7 +283,7 @@ class AdaptiveEngine:
                     state["user_stopped"] = True
                     return True
             if allow_switch and local_index >= dwell:
-                target = target_backend(detector, daemon, vector_ok)
+                target = targets.get(detector.classify())
                 if target is not None and target != backend:
                     state["pending"] = target
                     return True

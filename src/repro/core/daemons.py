@@ -150,14 +150,6 @@ class Daemon(ABC):
     #: Short human-readable name ("sd", "cd", ...), set by subclasses.
     name: str = "daemon"
 
-    #: Backend-selection hint: True when the daemon's typical selection
-    #: activates a constant fraction of the enabled set (the synchronous
-    #: daemon, dense distributed daemons).  The engine's automatic backend
-    #: selection runs such daemons on the vectorized array-state kernel
-    #: when the protocol declares one; sparse daemons keep the dirty-set
-    #: paths.  Purely advisory — every backend is correct for every daemon.
-    dense: bool = False
-
     #: True only for daemons whose selection is *always* the full enabled
     #: set (the synchronous daemon).  Such schedules are deterministic given
     #: the initial configuration, which is what licenses the batched
@@ -167,11 +159,16 @@ class Daemon(ABC):
     #: proper subset — the superstep path skips ``select`` entirely.
     synchronous: bool = False
 
-    #: Advisory expected fraction of the enabled set activated per step
-    #: (``None`` when unknown).  Used by the automatic backend selection to
-    #: route mid-density daemons (``0.2 <= density < 0.5``) to the array
-    #: kernel on large graphs, where the vectorized sparse guard refresh
-    #: beats the dict-backed dirty-set paths.
+    #: Backend-selection hint: the expected fraction of the enabled set
+    #: activated per step (``None`` when unknown or not a constant
+    #: fraction).  The automatic backend selection
+    #: (:func:`repro.core.engine.resolve_backend`) runs dense daemons
+    #: (``density >= 0.5``: the synchronous daemon, dense distributed
+    #: daemons) on the vectorized array-state kernel when the protocol
+    #: declares one, and mid-density daemons (``0.2 <= density < 0.5``) on
+    #: large graphs, where the vectorized sparse guard refresh beats the
+    #: dict-backed dirty-set paths.  Purely advisory — every backend is
+    #: correct for every daemon.
     density: Optional[float] = None
 
     #: Engine-maintained rank index (see :meth:`attach_ranks`).
@@ -311,7 +308,6 @@ class SynchronousDaemon(Daemon):
     """The synchronous daemon ``sd``: every enabled vertex is activated."""
 
     name = "sd"
-    dense = True
     synchronous = True
     density = 1.0
 
@@ -438,9 +434,6 @@ class DistributedDaemon(Daemon):
                 f"activation probability must be in (0, 1], got {activation_probability}"
             )
         self._p = activation_probability
-        # Expected selections cover at least half the enabled set: the
-        # dense regime the vector backend is built for.
-        self.dense = activation_probability >= 0.5
         self.density = activation_probability
 
     def select(
@@ -583,7 +576,7 @@ class StarvationDaemon(Daemon):
     """
 
     name = "ud-starve"
-    dense = True  # every enabled vertex but the target fires each step
+    density = 1.0  # every enabled vertex but the target fires each step
 
     def __init__(self, target: Optional[VertexId] = None) -> None:
         super().__init__()
@@ -623,7 +616,7 @@ class RegimeSwitchingDaemon(Daemon):
     This is the canonical *regime-switch workload* for the adaptive engine
     (:mod:`repro.adaptive`): neither phase dominates the run, so any fixed
     backend choice is wrong half the time.  The advisory flags deliberately
-    stay at their sparse defaults (``dense=False``, ``synchronous=False``):
+    stay at their sparse defaults (``density=None``, ``synchronous=False``):
     ``engine="auto"`` must keep the incremental engine for this daemon —
     exploiting the dense phases mid-run is exactly the adaptive engine's
     job, not static backend selection's.

@@ -56,45 +56,79 @@ from .protocol import ActivationRecord, Protocol
 from .rules import LocalView, Rule
 from .state import Configuration, ConfigurationBuffer
 
-__all__ = [
-    "IncrementalEngine",
-    "prefers_array_backend",
-    "protocol_supports_incremental",
-]
+__all__ = ["ENGINES", "IncrementalEngine", "resolve_backend"]
 
+#: Engine selection values accepted by :class:`~repro.core.Simulator`.
+ENGINES = (
+    "auto",
+    "adaptive",
+    "incremental",
+    "vector",
+    "vector-superstep",
+    "reference",
+)
 
-#: Automatic-backend policy for mid-density daemons: a daemon that is not
-#: ``dense`` but advertises an expected activation fraction of at least
-#: ``_MID_DENSITY`` is routed to the array kernel on graphs of at least
+#: The resolved engines :meth:`IncrementalEngine.run` executes.
+_RUN_BACKENDS = ("incremental", "vector", "vector-superstep")
+
+#: Automatic-backend policy (``engine="auto"``): a daemon whose advisory
+#: ``density`` is at least ``_DENSE`` runs on the array kernel at any size;
+#: one of at least ``_MID_DENSITY`` does so on graphs of at least
 #: ``_MID_DENSITY_MIN_N`` vertices, where the vectorized sparse guard
 #: refresh beats the dict-backed dirty-set paths.  Purely advisory — every
 #: backend is correct for every daemon.
+_DENSE = 0.5
 _MID_DENSITY = 0.2
 _MID_DENSITY_MIN_N = 512
 
 
-def prefers_array_backend(daemon: Daemon, n: int) -> bool:
-    """Whether automatic backend selection should try the array kernel for
-    ``daemon`` on a graph of ``n`` vertices (dense daemons always; known
-    mid-density daemons on large graphs)."""
-    if daemon.dense:
-        return True
-    return (
-        daemon.density is not None
-        and daemon.density >= _MID_DENSITY
-        and n >= _MID_DENSITY_MIN_N
-    )
+def resolve_backend(
+    requested: str, daemon: Daemon, incremental: "IncrementalEngine"
+) -> str:
+    """The backend that serves ``requested`` for ``daemon`` on
+    ``incremental``'s protocol — the one backend decision of the library.
 
+    ``requested`` is one of :data:`ENGINES`; the result is the resolved
+    engine: ``"reference"``, ``"adaptive"``, ``"incremental"``,
+    ``"vector"`` or ``"vector-superstep"``.  The :class:`~repro.core.Simulator`
+    resolves its ``engine=`` argument here, :meth:`IncrementalEngine.run`
+    its ``backend``, and the adaptive engine its promotion target.  An
+    unknown name raises :class:`SimulationError`; otherwise the decision
+    degrades, never errors:
 
-def protocol_supports_incremental(protocol: Protocol) -> bool:
-    """Whether ``protocol`` keeps the base-class transition semantics.
-
-    ``choose_rule``, ``validate_state`` and ``rules`` may be overridden
-    freely — the engine calls them; only the hot-path methods it *replaces*
-    must be the stock implementations (see
-    :meth:`Protocol.has_stock_transitions`).
+    * a protocol without the stock transition semantics
+      (:meth:`Protocol.has_stock_transitions`) runs on the reference engine;
+    * ``"auto"`` tries the array kernel only for a daemon whose advisory
+      ``density`` is dense (``>= 0.5``), or mid-density (``>= 0.2``) on a
+      graph of at least 512 vertices, and keeps the dirty-set engine
+      otherwise;
+    * an array request without the capability
+      (:func:`~repro.core.vector.protocol_supports_vector`) runs on the
+      dirty-set engine;
+    * the array kernel takes the superstep loop under a synchronous daemon,
+      except on an explicit single-step ``"vector"`` request (benchmarks and
+      equivalence tests compare the two paths); a superstep request under
+      any other daemon degrades to single-step ``"vector"``.
     """
-    return protocol.has_stock_transitions()
+    if requested not in ENGINES:
+        raise SimulationError(
+            f"unknown engine {requested!r}; known: {', '.join(ENGINES)}"
+        )
+    if not incremental._protocol.has_stock_transitions():
+        return "reference"
+    if requested in ("reference", "adaptive", "incremental"):
+        return requested
+    if requested == "auto":
+        density = daemon.density
+        if density is None or density < _MID_DENSITY or (
+            density < _DENSE and len(incremental._vertices) < _MID_DENSITY_MIN_N
+        ):
+            return "incremental"
+    if incremental._vector_engine() is None:
+        return "incremental"
+    if daemon.synchronous and requested != "vector":
+        return "vector-superstep"
+    return "vector"
 
 
 class IncrementalEngine:
@@ -108,17 +142,13 @@ class IncrementalEngine:
     :mod:`repro.core.vector`) additionally unlock a NumPy-vectorized
     **array-state backend** that replaces the whole per-step scan of the
     dense (batch) regime with a handful of array operations.  ``run``'s
-    ``backend`` parameter picks between them — ``"auto"`` (default) uses
-    the vector backend exactly when the protocol declares one, NumPy is
-    importable and the daemon advertises dense selections
-    (:attr:`Daemon.dense`); ``"vector"`` requests it for any daemon; both
-    degrade gracefully to the dict paths when the capability is missing,
-    so NumPy stays an optional dependency.
+    ``backend`` picks between them through :func:`resolve_backend`, which
+    degrades to the dict paths when the capability is missing, so NumPy
+    stays an optional dependency.
     """
 
     __slots__ = (
         "_protocol",
-        "_graph",
         "_vertices",
         "_neighbors",
         "_vector",
@@ -133,13 +163,13 @@ class IncrementalEngine:
 
     def __init__(self, protocol: Protocol) -> None:
         self._protocol = protocol
-        self._graph = protocol.graph
+        graph = protocol.graph
         # The graph is immutable, so the neighbourhood map can be cached for
         # the engine's lifetime; rules() is re-queried per run because the
         # protocol contract allows it to be overridden (e.g. parameterized).
-        self._vertices: Tuple[VertexId, ...] = tuple(self._graph.vertices)
+        self._vertices: Tuple[VertexId, ...] = tuple(graph.vertices)
         self._neighbors: Dict[VertexId, Tuple[VertexId, ...]] = {
-            v: tuple(self._graph.neighbors(v)) for v in self._vertices
+            v: tuple(graph.neighbors(v)) for v in self._vertices
         }
         self._vector = None
         # The daemons' repr-sorted vertex order (EnabledRanks ranks),
@@ -159,15 +189,11 @@ class IncrementalEngine:
         capability is instantiated exactly once.
         """
         if self._vector is None:
-            from .vector import VectorEngine, vector_eligible
+            from .vector import VectorEngine, protocol_supports_vector
 
-            if vector_eligible(self._protocol):
-                codec = self._protocol.array_codec()
-                kernel = self._protocol.array_kernel()
-                if codec is not None and kernel is not None:
-                    self._vector = VectorEngine(
-                        self._protocol, codec=codec, kernel=kernel
-                    )
+            capability = protocol_supports_vector(self._protocol)
+            if capability is not None:
+                self._vector = VectorEngine(self._protocol, *capability)
         return self._vector
 
     def run(
@@ -178,7 +204,7 @@ class IncrementalEngine:
         max_steps: int,
         stop_when: Optional[Callable[[Configuration, int], bool]] = None,
         trace: str = "full",
-        backend: str = "auto",
+        backend: str = "incremental",
     ) -> Execution:
         """Run up to ``max_steps`` actions from ``initial``.
 
@@ -188,75 +214,62 @@ class IncrementalEngine:
         handed a live read-only view instead of per-step snapshots.
 
         Views are persistent for the whole run and patched *in place* after
-        each action, so the guard/action/choose_rule hooks they are handed
-        must treat them as read-only **and must not retain them across
-        steps** — which the rule contract already requires (guards and
-        actions are pure functions of the view); a hook mutating
-        ``view.neighbor_states`` would corrupt the cache, and one stashing a
-        view would observe it silently change under later actions.
+        each action, so the guard/action hooks they are handed must treat
+        them as read-only **and must not retain them across steps** — which
+        the rule contract already requires (guards and actions are pure
+        functions of the view); a hook mutating ``view.neighbor_states``
+        would corrupt the cache, and one stashing a view would observe it
+        silently change under later actions.
 
-        ``backend`` selects between the dict-based sparse/batch paths
-        (``"dict"``), the per-step NumPy array-state kernel (``"vector"``),
-        and the daemon-free synchronous kernel loop (``"vector-superstep"``,
-        see :meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks the
-        array backend for daemons :func:`prefers_array_backend` approves
-        when the protocol declares one, upgrading to supersteps for
-        synchronous daemons.  Requests the capability cannot honour (no
-        kernel, no NumPy, states outside the codec's layout, supersteps
-        under a non-synchronous daemon) fall back to the next backend down —
-        never an error.
+        ``backend`` is a resolved engine (see :func:`resolve_backend`): the
+        dict-based sparse/batch paths (``"incremental"``), the per-step
+        NumPy array-state kernel (``"vector"``) or the daemon-free
+        synchronous kernel loop (``"vector-superstep"``, see
+        :meth:`VectorEngine.run_supersteps`).  An initial configuration
+        outside the codec's integer layout runs on the dict paths — never
+        an error; :attr:`last_run_backend` reports what ran.
         """
         if trace not in {"full", "light"}:
             raise SimulationError(f"unknown trace mode {trace!r}")
-        if backend not in {"auto", "dict", "vector", "vector-superstep"}:
+        if backend not in _RUN_BACKENDS:
             raise SimulationError(f"unknown engine backend {backend!r}")
-        if backend != "dict":
-            vector = self._vector_engine()
-            if vector is not None and (
-                backend in ("vector", "vector-superstep")
-                or prefers_array_backend(daemon, self._graph.n)
-            ):
-                encoded = vector.encode_initial(initial)
-                if encoded is not None:
-                    # Supersteps need a deterministic full-enabled-set
-                    # schedule; an explicit single-step "vector" request is
-                    # honoured as-is (benchmarks compare the two paths).
-                    if daemon.synchronous and backend != "vector":
-                        self.last_run_backend = "vector-superstep"
-                        run = vector.run_supersteps
-                    else:
-                        self.last_run_backend = "vector"
-                        run = vector.run
-                    return run(
-                        daemon=daemon,
-                        rng=rng,
-                        initial=initial,
-                        max_steps=max_steps,
-                        stop_when=stop_when,
-                        trace=trace,
-                        initial_array=encoded,
-                    )
+        backend = resolve_backend(backend, daemon, self)
+        if backend == "reference":
+            raise SimulationError(
+                f"protocol {self._protocol.name!r} overrides the stock "
+                "transition semantics; run it on the reference engine"
+            )
+        if backend != "incremental":
+            vector = self._vector
+            encoded = vector.encode_initial(initial)
+            if encoded is not None:
+                self.last_run_backend = backend
+                run = vector.run if backend == "vector" else vector.run_supersteps
+                return run(
+                    daemon=daemon,
+                    rng=rng,
+                    initial=initial,
+                    max_steps=max_steps,
+                    stop_when=stop_when,
+                    trace=trace,
+                    initial_array=encoded,
+                )
         self.last_run_backend = "dict"
         if set(initial) != set(self._vertices):
             raise SimulationError(
                 "initial configuration is not over the protocol's vertex set"
             )
         protocol = self._protocol
-        graph = self._graph
+        graph = protocol.graph
         rules = tuple(protocol.rules())
         neighbors = self._neighbors
         vertices = self._vertices
         n_vertices = len(vertices)
         batch_threshold = max(1, n_vertices // self._BATCH_DENSITY)
-        # choose_rule is an overridable hook; when it is the stock
-        # implementation (first enabled rule, mutually exclusive guards in
-        # every protocol of the library) the engine searches for the FIRST
-        # enabled rule with a short-circuit — a vertex whose first guard
-        # holds never evaluates the remaining ones — and skips the
-        # per-firing defensive list copy and dispatch.  An overridden
-        # choose_rule needs the full enabled list, so every guard runs.
-        stock_choose = type(protocol).choose_rule is Protocol.choose_rule
-        choose_rule = protocol.choose_rule
+        # The stock choose_rule (guaranteed by resolve_backend) fires the
+        # FIRST enabled rule, so the engine searches for it with a
+        # short-circuit: a vertex whose first guard holds never evaluates
+        # the remaining ones.
         # Per-firing re-validation is skipped when it cannot raise: the
         # stock validate_state accepts everything, and protocols declaring
         # ``actions_preserve_validity`` guarantee their actions are closed
@@ -280,7 +293,6 @@ class IncrementalEngine:
         # ``plans`` pairs each guard with the pre-built ``(rule, fire)``
         # tuple the firing loop consumes, so the per-step scan allocates
         # nothing.
-        guards: List[Tuple[Rule, Callable[[LocalView], object]]] = []
         plans: List[Tuple[Callable[[LocalView], object], Tuple[str, Callable]]] = []
         for rule in rules:
             check = (
@@ -289,30 +301,23 @@ class IncrementalEngine:
                 else rule.is_enabled
             )
             fire = rule.action if type(rule).apply is Rule.apply else rule.apply
-            guards.append((rule, check))
             plans.append((check, (rule.name, fire)))
 
         # One persistent view per vertex (patched in place after actions)
         # plus the cache of what each enabled vertex will fire, seeded by one
-        # full evaluation: ``prepared`` maps every enabled vertex to its
-        # first enabled rule (stock choose_rule) or to the full enabled-rule
-        # list (overridden choose_rule).
+        # full evaluation: ``prepared`` maps every enabled vertex to the
+        # ``(rule name, fire)`` plan of its first enabled rule.
         views: Dict[VertexId, LocalView] = {}
-        prepared: Dict[VertexId, object] = {}
+        prepared: Dict[VertexId, Tuple[str, Callable]] = {}
         for vertex in vertices:
             view = LocalView._from_trusted_parts(
                 vertex, states[vertex], {u: states[u] for u in neighbors[vertex]}, graph
             )
             views[vertex] = view
-            if stock_choose:
-                for check, plan in plans:
-                    if check(view):
-                        prepared[vertex] = plan
-                        break
-            else:
-                enabled_rules = [rule for rule, check in guards if check(view)]
-                if enabled_rules:
-                    prepared[vertex] = enabled_rules
+            for check, plan in plans:
+                if check(view):
+                    prepared[vertex] = plan
+                    break
         # Patch plan: for each vertex, the ``neighbor_states`` dicts (one
         # per neighbour's view) holding its state.  A vertex's *own*
         # ``view.state`` is rewritten inside the firing loop — no other
@@ -378,42 +383,24 @@ class IncrementalEngine:
             # below, light traces wrap the raw log in LazyActivations.
             records: List[tuple] = []
             changes: Dict[VertexId, VertexStateLike] = {}
-            if stock_choose:
-                if len(selection) == len(prepared):
-                    fired = prepared.items()
-                else:
-                    fired = (
-                        (vertex, prepared[vertex])
-                        for vertex in selection
-                        if vertex in prepared
-                    )
-                for vertex, (rule_name, fire) in fired:
-                    view = views[vertex]
-                    new_state = fire(view)
-                    if validate_state is not None:
-                        validate_state(vertex, new_state)
-                    old_state = view.state
-                    records.append((vertex, rule_name, old_state, new_state))
-                    if new_state != old_state:
-                        changes[vertex] = new_state
-                        view.state = new_state
+            if len(selection) == len(prepared):
+                fired = prepared.items()
             else:
-                for vertex in selection:
-                    entry = prepared.get(vertex)
-                    if entry is None:  # pragma: no cover - checked_select forbids it
-                        continue
-                    view = views[vertex]
-                    # An overriding hook gets a copy so a mutation cannot
-                    # corrupt the cache.
-                    rule = choose_rule(list(entry), view)
-                    new_state = rule.apply(view)
-                    if validate_state is not None:
-                        validate_state(vertex, new_state)
-                    old_state = view.state
-                    records.append((vertex, rule.name, old_state, new_state))
-                    if new_state != old_state:
-                        changes[vertex] = new_state
-                        view.state = new_state
+                fired = (
+                    (vertex, prepared[vertex])
+                    for vertex in selection
+                    if vertex in prepared
+                )
+            for vertex, (rule_name, fire) in fired:
+                view = views[vertex]
+                new_state = fire(view)
+                if validate_state is not None:
+                    validate_state(vertex, new_state)
+                old_state = view.state
+                records.append((vertex, rule_name, old_state, new_state))
+                if new_state != old_state:
+                    changes[vertex] = new_state
+                    view.state = new_state
 
             # O(Δ) in-place update of buffer and persistent views: a changed
             # vertex occupies exactly one neighbor_states slot in each of its
@@ -434,32 +421,22 @@ class IncrementalEngine:
                     enabled = None
                     if ranks is not None:
                         ranks.suspend()
-                    if stock_choose:
-                        # The first rule is the hot one in every protocol of
-                        # the library; probing it outside the general rule
-                        # loop keeps the per-vertex cost at one call in the
-                        # steady state.
-                        first_check, first_plan = plans[0]
-                        rest = plans[1:]
-                        for vertex, view in scan_items:
-                            if first_check(view):
-                                prepared[vertex] = first_plan
-                                continue
-                            for check, plan in rest:
-                                if check(view):
-                                    prepared[vertex] = plan
-                                    break
-                            else:
-                                prepared.pop(vertex, None)
-                    else:
-                        for vertex, view in scan_items:
-                            enabled_rules = [
-                                rule for rule, check in guards if check(view)
-                            ]
-                            if enabled_rules:
-                                prepared[vertex] = enabled_rules
-                            else:
-                                prepared.pop(vertex, None)
+                    # The first rule is the hot one in every protocol of
+                    # the library; probing it outside the general rule loop
+                    # keeps the per-vertex cost at one call in the steady
+                    # state.
+                    first_check, first_plan = plans[0]
+                    rest = plans[1:]
+                    for vertex, view in scan_items:
+                        if first_check(view):
+                            prepared[vertex] = first_plan
+                            continue
+                        for check, plan in rest:
+                            if check(view):
+                                prepared[vertex] = plan
+                                break
+                        else:
+                            prepared.pop(vertex, None)
                 else:
                     # Sparse refresh: walk the explicit dirty set, tracking
                     # whether the enabled set's membership actually changed
@@ -469,35 +446,18 @@ class IncrementalEngine:
                         for slot in patch_slots[vertex]:
                             slot[vertex] = new_state
                         dirty.update(neighbors[vertex])
-                    if stock_choose:
-                        for vertex in dirty:
-                            view = views[vertex]
-                            for check, plan in plans:
-                                if check(view):
-                                    if vertex not in prepared:
-                                        enabled = None
-                                        if ranks is not None:
-                                            ranks.update(vertex, 1)
-                                    prepared[vertex] = plan
-                                    break
-                            else:
-                                if prepared.pop(vertex, None) is not None:
-                                    enabled = None
-                                    if ranks is not None:
-                                        ranks.update(vertex, -1)
-                    else:
-                        for vertex in dirty:
-                            view = views[vertex]
-                            enabled_rules = [
-                                rule for rule, check in guards if check(view)
-                            ]
-                            if enabled_rules:
+                    for vertex in dirty:
+                        view = views[vertex]
+                        for check, plan in plans:
+                            if check(view):
                                 if vertex not in prepared:
                                     enabled = None
                                     if ranks is not None:
                                         ranks.update(vertex, 1)
-                                prepared[vertex] = enabled_rules
-                            elif prepared.pop(vertex, None) is not None:
+                                prepared[vertex] = plan
+                                break
+                        else:
+                            if prepared.pop(vertex, None) is not None:
                                 enabled = None
                                 if ranks is not None:
                                     ranks.update(vertex, -1)

@@ -56,8 +56,9 @@ class ActivationRecord:
 #: when a subclass overrides none of them.
 _ENABLEDNESS_METHODS = ("is_enabled", "enabled_rules", "evaluate", "local_view")
 
-#: Additional transition methods the incremental engine replaces.
-_TRANSITION_METHODS = ("apply", "enabled_vertices", "prepared_step")
+#: Additional transition methods the incremental and array engines replace
+#: (they hard-code the first-enabled-rule ``choose_rule``).
+_TRANSITION_METHODS = ("apply", "enabled_vertices", "prepared_step", "choose_rule")
 
 
 class Protocol(ABC):
@@ -113,11 +114,12 @@ class Protocol(ABC):
     def has_stock_transitions(self) -> bool:
         """Whether this protocol keeps the full base-class transition
         semantics (enabledness chain plus :meth:`apply`/
-        :meth:`enabled_vertices`/:meth:`prepared_step`).
+        :meth:`enabled_vertices`/:meth:`prepared_step`/:meth:`choose_rule`).
 
-        The incremental simulation engine replaces all of these with cached
-        equivalents, so it is only sound for protocols where this holds;
-        :meth:`choose_rule`, :meth:`validate_state` and :meth:`rules` may be
+        The incremental and array engines replace all of these with cached
+        equivalents (firing the first enabled rule), so they are only sound
+        for protocols where this holds; any other protocol runs on the
+        reference engine.  :meth:`validate_state` and :meth:`rules` may be
         overridden freely — every engine calls them.
         """
         cls = type(self)
@@ -166,7 +168,9 @@ class Protocol(ABC):
 
         All protocols in this library have mutually exclusive guards, so the
         default (first enabled rule, in :meth:`rules` order) never has to
-        arbitrate; it exists as an explicit extension point.
+        arbitrate; it exists as an explicit extension point.  Overriding it
+        forfeits :meth:`has_stock_transitions`: the simulator then runs the
+        protocol on the reference engine, which calls this hook.
         """
         return enabled_rules[0]
 
@@ -216,8 +220,8 @@ class Protocol(ABC):
 
         Must encode *exactly* the stock transition semantics over the
         :meth:`array_codec` representation (first-enabled-rule arbitration
-        included); see :func:`repro.core.vector.protocol_supports_vector`
-        for the full eligibility contract.  Implementations may assume
+        included); see :func:`repro.core.vector.protocol_supports_vector`,
+        the one capability probe, for the full eligibility contract.  Implementations may assume
         NumPy is importable — the capability is only queried after that
         check — but must return None themselves when it is not, so direct
         callers degrade cleanly too.

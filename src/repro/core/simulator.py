@@ -15,26 +15,12 @@ from typing import Callable, FrozenSet, List, Optional, Sequence
 from ..exceptions import SimulationError
 from ..types import VertexId
 from .daemons import Daemon
-from .engine import (
-    IncrementalEngine,
-    prefers_array_backend,
-    protocol_supports_incremental,
-)
+from .engine import ENGINES, IncrementalEngine, resolve_backend
 from .execution import Execution
 from .protocol import ActivationRecord, Protocol
 from .state import Configuration
 
-__all__ = ["StepResult", "Simulator"]
-
-#: Engine selection values accepted by :class:`Simulator`.
-ENGINES = (
-    "auto",
-    "adaptive",
-    "incremental",
-    "vector",
-    "vector-superstep",
-    "reference",
-)
+__all__ = ["ENGINES", "StepResult", "Simulator"]
 
 #: Trace modes accepted by :class:`Simulator` (see docs/engine.md).
 TRACE_MODES = ("full", "light")
@@ -80,12 +66,13 @@ class Simulator:
         Source of randomness for the daemon (and nothing else).  Passing a
         seeded ``random.Random`` makes runs reproducible.
     engine:
+        One of :data:`~repro.core.engine.ENGINES`, resolved once by
+        :func:`~repro.core.engine.resolve_backend`.
         ``"auto"`` (default) picks the fastest sound backend for the
         (protocol, daemon) pair: the NumPy-vectorized array-state kernel
         (:mod:`repro.core.vector`) when the protocol declares one, NumPy is
-        importable and the daemon makes dense (or known mid-density)
-        selections (:func:`~repro.core.engine.prefers_array_backend`) —
-        upgraded to the batched superstep loop
+        importable and the daemon's advisory density is dense (or
+        mid-density on a large graph) — upgraded to the batched superstep loop
         (:meth:`~repro.core.vector.VectorEngine.run_supersteps`) when the
         daemon is synchronous (:attr:`Daemon.synchronous`); the dirty-set
         incremental engine otherwise.  ``"incremental"`` forces the
@@ -104,7 +91,8 @@ class Simulator:
         history of the last run is reported by :attr:`last_run_switches`.
         ``"reference"`` runs the naive full-rescan semantics and serves as
         the correctness oracle.  Protocols that override the base-class
-        transition methods automatically fall back to the reference engine.
+        transition methods (``choose_rule`` included) automatically fall
+        back to the reference engine.
         The resolved choice is reported by :attr:`engine`.
     trace:
         ``"full"`` (default) records every configuration in the returned
@@ -136,10 +124,6 @@ class Simulator:
         engine: str = "auto",
         trace: str = "full",
     ) -> None:
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; known: {', '.join(ENGINES)}"
-            )
         if trace not in TRACE_MODES:
             raise SimulationError(
                 f"unknown trace mode {trace!r}; known: {', '.join(TRACE_MODES)}"
@@ -149,48 +133,21 @@ class Simulator:
         self._daemon.bind(protocol)
         self._rng = rng or random.Random(0)
         # Protocols overriding hot-path transition methods keep their custom
-        # semantics: no incremental engine, and no prepared-evaluation
-        # threading either (their ``apply`` may predate the ``prepared``
-        # keyword and their enabledness chain must be honoured).
-        self._prepared_ok = protocol_supports_incremental(protocol)
-        # Backend resolution (graceful, never an error): the array-state
-        # kernel needs the protocol capability *and* NumPy; "auto"
-        # additionally requires the daemon to make dense selections — the
-        # regime where whole-array steps beat the dirty-set paths.  The
-        # probe constructs the incremental engine (which runs would build
-        # anyway) so the kernel it instantiates is the one that runs.
-        self._incremental: Optional[IncrementalEngine] = None
+        # semantics: no prepared-evaluation threading in the reference
+        # engine (their ``apply`` may predate the ``prepared`` keyword and
+        # their enabledness chain must be honoured).
+        self._prepared_ok = protocol.has_stock_transitions()
+        incremental = IncrementalEngine(protocol)
+        engine = resolve_backend(engine, daemon, incremental)
+        self._incremental: Optional[IncrementalEngine] = (
+            None if engine == "reference" else incremental
+        )
         self._adaptive = None
         if engine == "adaptive":
-            if not self._prepared_ok:
-                engine = "reference"
-            else:
-                # Imported lazily: repro.adaptive builds on this module.
-                from ..adaptive.switching import AdaptiveEngine
+            # Imported lazily: repro.adaptive builds on this module.
+            from ..adaptive.switching import AdaptiveEngine
 
-                self._incremental = IncrementalEngine(protocol)
-                self._adaptive = AdaptiveEngine(self._incremental)
-        if engine in ("auto", "vector", "vector-superstep"):
-            if engine == "auto" and not prefers_array_backend(daemon, protocol.graph.n):
-                engine = "incremental"
-            elif not self._prepared_ok:
-                engine = "reference"
-            else:
-                self._incremental = IncrementalEngine(protocol)
-                if self._incremental._vector_engine() is None:
-                    engine = "incremental"
-                elif engine == "vector":
-                    # An explicit single-step request stays single-step
-                    # (benchmarks and equivalence tests compare the paths).
-                    engine = "vector"
-                else:
-                    # "auto" on an array-approved daemon, or an explicit
-                    # superstep request: batched kernel blocks whenever the
-                    # schedule is deterministic (synchronous daemon),
-                    # per-step vector otherwise.
-                    engine = "vector-superstep" if daemon.synchronous else "vector"
-        if engine in ("incremental", "vector", "vector-superstep") and not self._prepared_ok:
-            engine = "reference"
+            self._adaptive = AdaptiveEngine(incremental)
         self._engine = engine
         self._trace = trace
 
@@ -206,8 +163,9 @@ class Simulator:
 
     @property
     def engine(self) -> str:
-        """The resolved engine ("vector-superstep", "vector", "incremental"
-        or "reference")."""
+        """The resolved engine ("adaptive", "vector-superstep", "vector",
+        "incremental" or "reference"; see
+        :func:`~repro.core.engine.resolve_backend`)."""
         return self._engine
 
     @property
@@ -250,11 +208,8 @@ class Simulator:
         If the configuration is terminal the result has ``terminal=True``
         and echoes the configuration unchanged.
         """
-        if self._prepared_ok:
-            enabled, prepared = self._protocol.prepared_step(configuration)
-        else:
-            enabled, prepared = self._protocol.enabled_vertices(configuration), None
-        if not enabled:
+        enabled, action = self._reference_step(configuration, step_index)
+        if action is None:
             return StepResult(
                 configuration=configuration,
                 selection=frozenset(),
@@ -262,13 +217,7 @@ class Simulator:
                 enabled=enabled,
                 terminal=True,
             )
-        selection = self._daemon.checked_select(enabled, configuration, step_index, self._rng)
-        if prepared is not None:
-            new_configuration, records = self._protocol.apply(
-                configuration, selection, prepared=prepared
-            )
-        else:
-            new_configuration, records = self._protocol.apply(configuration, selection)
+        selection, new_configuration, records = action
         return StepResult(
             configuration=new_configuration,
             selection=selection,
@@ -276,6 +225,39 @@ class Simulator:
             enabled=enabled,
             terminal=False,
         )
+
+    def _reference_step(
+        self, configuration: Configuration, step_index: int, fire: bool = True
+    ):
+        """One step of the reference semantics from ``configuration``.
+
+        Returns ``(enabled, action)``: the enabled set, evaluated from
+        scratch, and — when ``fire`` is set and the configuration is not
+        terminal — the daemon's ``selection`` with the protocol's successor
+        configuration and activation records; otherwise ``action`` is None.
+        For stock protocols guards run only once per vertex because the
+        enabledness pass is shared with ``Protocol.apply`` (see
+        :meth:`Protocol.prepared_step`); protocols overriding hot-path
+        methods go through their own ``enabled_vertices``/``apply`` chain
+        unchanged.
+        """
+        protocol = self._protocol
+        if self._prepared_ok:
+            enabled, prepared = protocol.prepared_step(configuration)
+        else:
+            enabled, prepared = protocol.enabled_vertices(configuration), None
+        if not (fire and enabled):
+            return enabled, None
+        selection = self._daemon.checked_select(
+            enabled, configuration, step_index, self._rng
+        )
+        if prepared is None:
+            successor, records = protocol.apply(configuration, selection)
+        else:
+            successor, records = protocol.apply(
+                configuration, selection, prepared=prepared
+            )
+        return enabled, (selection, successor, records)
 
     # ------------------------------------------------------------------ #
     # Full runs
@@ -312,23 +294,17 @@ class Simulator:
                 stop_when=stop_when,
                 trace=trace,
             )
-        if self._engine in ("incremental", "vector", "vector-superstep"):
-            if self._incremental is None:
-                self._incremental = IncrementalEngine(self._protocol)
-            return self._incremental.run(
-                daemon=self._daemon,
-                rng=self._rng,
-                initial=initial,
-                max_steps=max_steps,
-                stop_when=stop_when,
-                trace=trace,
-                backend=(
-                    self._engine
-                    if self._engine in ("vector", "vector-superstep")
-                    else "dict"
-                ),
-            )
-        return self._run_reference(initial, max_steps, stop_when, trace)
+        if self._engine == "reference":
+            return self._run_reference(initial, max_steps, stop_when, trace)
+        return self._incremental.run(
+            daemon=self._daemon,
+            rng=self._rng,
+            initial=initial,
+            max_steps=max_steps,
+            stop_when=stop_when,
+            trace=trace,
+            backend=self._engine,
+        )
 
     def _run_reference(
         self,
@@ -337,15 +313,8 @@ class Simulator:
         stop_when: Optional[Callable[[Configuration, int], bool]],
         trace: str,
     ) -> Execution:
-        """The naive full-rescan semantics — the correctness oracle.
-
-        Every configuration is evaluated from scratch.  For stock protocols
-        guards still run only once per vertex per step because the
-        enabledness pass is shared with ``Protocol.apply`` (see
-        :meth:`Protocol.prepared_step`); protocols overriding hot-path
-        methods go through their own ``enabled_vertices``/``apply`` chain
-        unchanged.
-        """
+        """The naive full-rescan semantics — the correctness oracle: every
+        configuration is evaluated from scratch (:meth:`_reference_step`)."""
         light = trace == "light"
         configurations: List[Configuration] = [initial]
         selections: List[FrozenSet[VertexId]] = []
@@ -355,32 +324,21 @@ class Simulator:
 
         current = initial
         for index in range(max_steps + 1):
-            if self._prepared_ok:
-                enabled, prepared = self._protocol.prepared_step(current)
-            else:
-                enabled, prepared = self._protocol.enabled_vertices(current), None
+            stopped = stop_when is not None and stop_when(current, index)
+            enabled, action = self._reference_step(
+                current, index, fire=not stopped and index < max_steps
+            )
             enabled_sets.append(enabled)
-            if stop_when is not None and stop_when(current, index):
-                truncated = True
+            if action is None:
+                # A stop, or the budget on a non-terminal configuration,
+                # truncates; a terminal configuration ends the execution.
+                truncated = stopped or bool(enabled)
                 break
-            if not enabled:
-                truncated = False
-                break
-            if index == max_steps:
-                truncated = True
-                break
-            selection = self._daemon.checked_select(enabled, current, index, self._rng)
-            if prepared is not None:
-                new_configuration, records = self._protocol.apply(
-                    current, selection, prepared=prepared
-                )
-            else:
-                new_configuration, records = self._protocol.apply(current, selection)
+            selection, current, records = action
             selections.append(selection)
             activations.append(records)
             if not light:
-                configurations.append(new_configuration)
-            current = new_configuration
+                configurations.append(current)
 
         if light:
             return Execution.from_activations(

@@ -29,12 +29,13 @@ machine integers (unison clocks, Dijkstra/SSME token counters):
 Protocols opt in through the capability API
 :meth:`repro.core.Protocol.array_codec` / :meth:`~repro.core.Protocol.array_kernel`
 (both return None by default).  Backend selection is automatic and degrades
-gracefully: the vector backend is used only when the protocol declares a
-kernel, NumPy is importable (it stays an **optional** dependency — nothing
-in this module imports it at module load), and the engine semantics the
-kernel encodes (stock transition chain, stock ``choose_rule``, actions that
-preserve state validity) actually hold; otherwise the existing sparse/batch
-dict paths run unchanged.
+gracefully: the vector backend is used only when
+:func:`protocol_supports_vector` finds the capability — the protocol
+declares a kernel, NumPy is importable (it stays an **optional**
+dependency — nothing in this module imports it at module load), and the
+engine semantics the kernel encodes (stock transition chain, actions that
+preserve state validity) actually hold; otherwise the existing
+sparse/batch dict paths run unchanged.
 
 Equivalence with the reference engine (same configurations, selections,
 enabled sets, activation records, truncation) is pinned by
@@ -79,7 +80,6 @@ __all__ = [
     "protocol_supports_vector",
     "tile_block_positions",
     "tile_block_values",
-    "vector_eligible",
 ]
 
 
@@ -97,53 +97,42 @@ def numpy_available() -> bool:
     return True
 
 
-def vector_eligible(protocol: Protocol) -> bool:
-    """The cheap (non-instantiating) half of the vector-backend contract.
+def protocol_supports_vector(
+    protocol: Protocol,
+) -> Optional[Tuple["ArrayCodec", "ArrayKernel"]]:
+    """The probed array capability of ``protocol``: ``(codec, kernel)``, or
+    None when it cannot run on the array kernels.
 
-    True when the *semantics* the kernel encodes hold and NumPy is
-    importable:
+    The one array-capability check of the library, asked by the engines'
+    backend resolution (:func:`repro.core.engine.resolve_backend`) and by
+    the batched exact checker.  It holds when
 
-    * NumPy importable (optional dependency — this is checked first so
+    * NumPy is importable (optional dependency — checked first, so the
       capability hooks may assume it when called);
-    * the stock transition semantics (same precondition as the incremental
-      engine — the kernel replaces the whole guard/firing chain);
-    * the stock ``choose_rule`` (the kernel hard-codes the
-      first-enabled-rule arbitration the base class implements);
-    * firing re-validation impossible or waived
+    * the protocol keeps the stock transition semantics
+      (:meth:`Protocol.has_stock_transitions`, which includes the
+      first-enabled-rule ``choose_rule`` the kernels hard-code);
+    * firing re-validation is impossible or waived
       (``actions_preserve_validity`` or a stock ``validate_state``) — the
-      vector firing path does not call back into Python per vertex.
+      array firing path does not call back into Python per vertex;
+    * the protocol declares both an :meth:`~repro.core.Protocol.array_codec`
+      and an :meth:`~repro.core.Protocol.array_kernel`.
 
-    Says nothing about the protocol actually *declaring* the capability;
-    callers that need the codec/kernel probe them directly afterwards (so
-    the objects are built once and used, never built-and-discarded).
+    The returned objects are the ones to use: callers build the capability
+    once, from this probe.
     """
-    if not numpy_available():
-        return False
-    if not protocol.has_stock_transitions():
-        return False
-    if type(protocol).choose_rule is not Protocol.choose_rule:
-        return False
-    return (
+    if not numpy_available() or not protocol.has_stock_transitions():
+        return None
+    if not (
         protocol.actions_preserve_validity
         or type(protocol).validate_state is Protocol.validate_state
-    )
-
-
-def protocol_supports_vector(protocol: Protocol) -> bool:
-    """Whether ``protocol`` can run on the vectorized array-state backend.
-
-    :func:`vector_eligible` plus the protocol actually declaring both an
-    :meth:`~repro.core.Protocol.array_codec` and an
-    :meth:`~repro.core.Protocol.array_kernel`.  Probing instantiates (and
-    discards) the capability objects — engine code paths use
-    :func:`vector_eligible` + a direct probe instead, keeping exactly one
-    construction per engine.
-    """
-    return (
-        vector_eligible(protocol)
-        and protocol.array_codec() is not None
-        and protocol.array_kernel() is not None
-    )
+    ):
+        return None
+    codec = protocol.array_codec()
+    kernel = protocol.array_kernel()
+    if codec is None or kernel is None:
+        return None
+    return codec, kernel
 
 
 class GraphIndex:
@@ -453,8 +442,9 @@ class ArrayKernel(ABC):
     * ``enabled_rules`` returns, for every vertex, the position (in
       :attr:`rule_names` order — which must equal ``protocol.rules()``
       order) of its **first** enabled rule, or ``-1`` when disabled.  This
-      bakes in the base-class ``choose_rule`` (first enabled rule), which
-      is why :func:`protocol_supports_vector` rejects overrides.
+      bakes in the base-class ``choose_rule`` (first enabled rule); a
+      protocol overriding it fails :meth:`Protocol.has_stock_transitions`
+      and never reaches a kernel.
     * ``fire`` evaluates the actions of ``rule_ids`` for the ``selected``
       row positions against the *current* ``states`` (atomic-snapshot
       semantics: the engine writes the returned rows back only after the

@@ -44,7 +44,6 @@ from .batched import (
 from .results import LassoCounterexample, SpeculationGapCertificate, VerificationResult
 from .solver import (
     GameSolution,
-    batched_supported,
     exact_speculation_gap,
     exact_worst_case_stabilization,
     solve,
@@ -74,7 +73,6 @@ __all__ = [
     "SymmetryReducer",
     "TransitionSystem",
     "VerificationResult",
-    "batched_supported",
     "daemon_class_selections",
     "exact_speculation_gap",
     "exact_worst_case_stabilization",

@@ -36,7 +36,8 @@ the dict path's selection enumeration and per-state successor dedup order,
 and the equivalence tests assert bit-identical systems and values on every
 instance the dict path can also afford.  The dict path stays the oracle —
 NumPy remains an optional dependency and
-:func:`~repro.verify.verify_stabilization` falls back to it automatically.
+:func:`~repro.verify.verify_stabilization` falls back to it automatically
+whenever :func:`~repro.core.vector.protocol_supports_vector` declines.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from ..core.vector import (
     GraphIndex,
     TiledGraphIndex,
     numpy_available,
-    vector_eligible,
+    protocol_supports_vector,
 )
 from ..exceptions import VerificationError
 from .statespace import StateSpace
@@ -70,7 +71,6 @@ __all__ = [
     "ArrayGameSolution",
     "ArrayPacker",
     "BatchedTransitionSystem",
-    "batched_supported",
     "solve_arrays",
 ]
 
@@ -303,20 +303,6 @@ class ArrayPacker:
         return out
 
 
-def batched_supported(protocol: Protocol, specification: Specification) -> bool:
-    """Whether the batched engine can run this instance at all.
-
-    NumPy importable, kernel semantics valid (:func:`vector_eligible`), and
-    both capability objects declared.  Construction of the packer (and its
-    codec validation) happens inside :class:`BatchedTransitionSystem`; this
-    is the cheap pre-probe ``engine="auto"`` uses.
-    """
-    del specification
-    if not vector_eligible(protocol):
-        return False
-    return protocol.array_codec() is not None and protocol.array_kernel() is not None
-
-
 class ArrayExploredSystem:
     """An explored transition system held in arrays.
 
@@ -492,22 +478,15 @@ class BatchedTransitionSystem:
             raise VerificationError(
                 f"unknown daemon class {daemon_class!r}; known: {', '.join(DAEMON_CLASSES)}"
             )
-        if not numpy_available():
+        capability = protocol_supports_vector(protocol)
+        if capability is None:
             raise VerificationError(
-                "the batched checker requires NumPy; use the dict engine"
+                f"the batched checker needs NumPy and protocol "
+                f"{protocol.name!r}'s array codec/kernel with the stock "
+                "transition semantics (protocol_supports_vector); use the dict "
+                "engine"
             )
-        if not vector_eligible(protocol):
-            raise VerificationError(
-                f"protocol {protocol.name!r} does not satisfy the vector-"
-                "kernel semantics contract; use the dict engine"
-            )
-        codec = protocol.array_codec()
-        kernel = protocol.array_kernel()
-        if codec is None or kernel is None:
-            raise VerificationError(
-                f"protocol {protocol.name!r} declares no array codec/kernel; "
-                "use the dict engine"
-            )
+        codec, _ = capability
         import numpy as np
 
         self._protocol = protocol

@@ -51,16 +51,8 @@ from .symmetry import SymmetryReducer
 from .transitions import ExploredSystem, TransitionSystem, daemon_class_selections
 
 
-def batched_supported(protocol: Protocol, specification: Specification) -> bool:
-    """Re-exported probe (see :func:`repro.verify.batched.batched_supported`);
-    imported lazily so the solver module itself never touches NumPy."""
-    from .batched import batched_supported as probe
-
-    return probe(protocol, specification)
-
 __all__ = [
     "GameSolution",
-    "batched_supported",
     "solve",
     "verify_stabilization",
     "exact_worst_case_stabilization",
@@ -358,8 +350,9 @@ def verify_stabilization(
     ``engine`` selects the exploration backend: ``"dict"`` is the
     pure-Python reference path, ``"batched"`` the NumPy-vectorized one
     (:mod:`repro.verify.batched`), and ``"auto"`` (default) picks batched
-    whenever the protocol declares the array capabilities and NumPy is
-    importable — both engines produce bit-identical results by design, so
+    whenever the protocol has the array capability
+    (:func:`~repro.core.vector.protocol_supports_vector`, which also needs
+    NumPy) — both engines produce bit-identical results by design, so
     the choice is purely a matter of speed.
 
     ``symmetry`` opts into the automorphism quotient
@@ -394,26 +387,28 @@ def verify_stabilization(
         kwargs["max_states"] = max_states
     if max_selections is not None:
         kwargs["max_selections"] = max_selections
-    use_batched = engine == "batched"
-    if engine == "auto" and batched_supported(protocol, specification):
-        use_batched = True
-    if use_batched:
+    if engine != "dict":
+        from .batched import BatchedTransitionSystem
+
         try:
-            return _verify_batched(
+            batched = BatchedTransitionSystem(
                 protocol,
                 specification,
                 daemon_class,
-                initial,
-                space,
-                reducer,
-                kwargs,
+                space=space,
+                reducer=reducer,
+                **kwargs,
             )
         except VerificationError:
             if engine == "batched":
                 raise
-            # auto: the cheap probe passed but construction found a reason
-            # the batched path cannot run (e.g. a codec layout too sparse
-            # to table) — the dict engine below is always available.
+            # auto: the batched path declines this instance (no array
+            # capability — see protocol_supports_vector — or, e.g., a codec
+            # layout too sparse to table); the dict engine below is always
+            # available.  Errors of the exploration itself (caps) propagate:
+            # the dict engine would only raise them again, slower.
+        else:
+            return _verify_batched(protocol, specification, batched, initial)
     transition_system = TransitionSystem(
         protocol, specification, daemon_class, space=space, reducer=reducer, **kwargs
     )
@@ -446,23 +441,12 @@ def verify_stabilization(
 def _verify_batched(
     protocol: Protocol,
     specification: Specification,
-    daemon_class: str,
+    transition_system,
     initial: Optional[Iterable[Configuration]],
-    space: StateSpace,
-    reducer,
-    kwargs: Dict,
 ) -> VerificationResult:
     """The batched-engine body of :func:`verify_stabilization`."""
-    from .batched import (
-        BatchedTransitionSystem,
-        _ArrayKeySet,
-        _ArrayValues,
-        solve_arrays,
-    )
+    from .batched import _ArrayKeySet, _ArrayValues, solve_arrays
 
-    transition_system = BatchedTransitionSystem(
-        protocol, specification, daemon_class, space=space, reducer=reducer, **kwargs
-    )
     if initial is None:
         system = transition_system.explore_full()
     else:
@@ -484,8 +468,8 @@ def _verify_batched(
         counterexample=None if stabilizes else solution.lasso(),
         values=_ArrayValues(solution),
         legitimate_keys=_ArrayKeySet(solution),
-        space=space,
-        reducer=reducer,
+        space=transition_system.space,
+        reducer=transition_system.reducer,
     )
 
 

@@ -157,7 +157,7 @@ def test_regime_switching_daemon_phases_and_selections():
 
     # Advisory flags stay at the sparse defaults: static selection must
     # not route this daemon to the array backends (that is adaptive's job).
-    assert not daemon.dense and not daemon.synchronous
+    assert daemon.density is None and not daemon.synchronous
 
 
 def test_regime_switching_daemon_registry_and_validation():

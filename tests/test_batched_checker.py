@@ -22,6 +22,7 @@ from repro.baselines import (
     MaximalMatching,
     MaximalMatchingSpec,
 )
+from repro.core import protocol_supports_vector
 from repro.exceptions import VerificationError
 from repro.graphs import path_graph, ring_graph
 from repro.mutex import SSME, DijkstraTokenRing, MutualExclusionSpec
@@ -29,7 +30,6 @@ from repro.unison import AsynchronousUnison, AsynchronousUnisonSpec
 from repro.verify import (
     StateSpace,
     TransitionSystem,
-    batched_supported,
     solve,
     verify_stabilization,
 )
@@ -198,6 +198,26 @@ class TestEngineDispatch:
             errors[engine] = str(excinfo.value)
         assert errors["dict"] == errors["batched"]
 
+    def test_auto_does_not_repeat_a_capped_exploration_on_dict(self, monkeypatch):
+        """The auto engine falls back to the dict path only when the batched
+        path declines the instance; an exploration cap it hits is raised
+        as is, not re-explored by the dict engine."""
+        import repro.verify.solver as solver
+
+        protocol = SSME(ring_graph(6))
+        specification = MutualExclusionSpec(protocol)
+        initial = [protocol.random_configuration(random.Random(0))]
+
+        def no_dict_engine(*args, **kwargs):
+            raise AssertionError("the dict engine re-ran a capped exploration")
+
+        monkeypatch.setattr(solver, "TransitionSystem", no_dict_engine)
+        with pytest.raises(VerificationError, match="exploration cap"):
+            verify_stabilization(
+                protocol, specification, "central",
+                initial=initial, engine="auto", max_states=50,
+            )
+
 
 # --------------------------------------------------------------------- #
 # The packer (state identity without bignums)
@@ -263,7 +283,7 @@ class TestNoNumpyDegradation:
             protocol, specification, "central", engine="auto"
         )
         monkeypatch.setitem(sys.modules, "numpy", None)
-        assert not batched_supported(protocol, specification)
+        assert protocol_supports_vector(protocol) is None
         without_numpy = verify_stabilization(
             protocol, specification, "central", engine="auto"
         )

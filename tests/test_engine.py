@@ -5,25 +5,32 @@ the automatic reference fallback for protocols with custom semantics."""
 from __future__ import annotations
 
 import random
+import sys
 from typing import Sequence
 
 import pytest
 
+from repro.baselines import MaximalMatching
 from repro.core import (
     CentralDaemon,
     Configuration,
     ConfigurationBuffer,
     ConfigurationView,
+    DistributedDaemon,
     Execution,
     LazyConfigurationTrace,
     Protocol,
+    RegimeSwitchingDaemon,
     Rule,
     Simulator,
+    StarvationDaemon,
     SynchronousDaemon,
-    protocol_supports_incremental,
+    numpy_available,
 )
+from repro.core.engine import ENGINES
 from repro.exceptions import SimulationError
 from repro.graphs import path_graph, ring_graph
+from repro.mutex import SSME, DijkstraTokenRing
 from repro.unison import AsynchronousUnison
 
 
@@ -105,8 +112,9 @@ class GatedTokenPassing(TokenPassing):
 class OverlappingRulesProtocol(Protocol):
     """Two rules with overlapping guards plus a ``choose_rule`` override
     that arbitrates (last enabled rule instead of the stock first).  The
-    incremental engine must honour the override and therefore take its
-    full-evaluation path instead of the first-enabled-rule fast path."""
+    override forfeits the stock transition semantics, so the simulator must
+    resolve every engine request to the reference engine, which honours
+    it."""
 
     name = "overlapping"
 
@@ -284,7 +292,7 @@ class TestEngineSelection:
 
     def test_custom_apply_falls_back_to_reference(self):
         protocol = CustomApplyProtocol(path_graph(3))
-        assert not protocol_supports_incremental(protocol)
+        assert not protocol.has_stock_transitions()
         simulator = Simulator(protocol, SynchronousDaemon())
         assert simulator.engine == "reference"
         gamma = protocol.configuration({0: 1, 1: 1, 2: 1})
@@ -312,7 +320,7 @@ class TestEngineSelection:
 
     def test_local_view_override_observed_by_enabledness_chain(self):
         protocol = MaskedViewProtocol(path_graph(3))
-        assert not protocol_supports_incremental(protocol)
+        assert not protocol.has_stock_transitions()
         gamma = protocol.configuration({0: 1, 1: 1, 2: 1})
         # The masked view zeroes neighbours but the vertex's own state is
         # untouched, so the drop rule still fires for non-zero vertices —
@@ -323,7 +331,7 @@ class TestEngineSelection:
 
     def test_rule_subclass_is_enabled_honoured_by_incremental_engine(self):
         protocol = GatedTokenPassing(path_graph(3))
-        assert protocol_supports_incremental(protocol)
+        assert protocol.has_stock_transitions()
         # Vertex 2 holds the token but its only neighbour (1) does not, so
         # the subclass gate disables it — the raw guard alone would fire.
         gamma = protocol.configuration({0: 0, 1: 0, 2: 1})
@@ -335,28 +343,38 @@ class TestEngineSelection:
             assert execution.is_terminal
             assert execution.final == gamma
 
-    def test_choose_rule_override_honoured_by_incremental_engine(self):
-        """An overridden ``choose_rule`` (overlapping guards) is called by
-        both engines and the executions stay identical."""
+    def test_choose_rule_override_resolves_to_reference(self):
+        """An overridden ``choose_rule`` (overlapping guards) forfeits the
+        stock transition semantics: every engine request resolves to the
+        reference engine, which calls the hook, and the executions are
+        identical."""
         graph = ring_graph(6)
         protocol = OverlappingRulesProtocol(graph)
-        assert protocol_supports_incremental(protocol)
+        assert not protocol.has_stock_transitions()
         initial = protocol.random_configuration(random.Random(3))
         runs = {}
-        for engine in ("incremental", "reference"):
+        for engine in ("incremental", "adaptive", "vector", "auto", "reference"):
             simulator = Simulator(
                 protocol, SynchronousDaemon(), rng=random.Random(1), engine=engine
             )
+            assert simulator.engine == "reference", engine
             execution = simulator.run(initial, max_steps=12)
+            assert simulator.last_run_backend is None
             runs[engine] = execution
-        incremental, reference = runs["incremental"], runs["reference"]
-        assert list(incremental.configurations) == list(reference.configurations)
+        reference = runs["reference"]
+        for engine, execution in runs.items():
+            assert list(execution.configurations) == list(
+                reference.configurations
+            ), engine
+            assert [execution.selection(i) for i in range(execution.steps)] == [
+                reference.selection(i) for i in range(reference.steps)
+            ], engine
         # Where both guards held, the override's pick (the *last* enabled
         # rule, "reset") must have fired.
         fired = {
             record.rule_name
-            for i in range(incremental.steps)
-            for record in incremental.activation_records(i)
+            for i in range(reference.steps)
+            for record in reference.activation_records(i)
             if 0 < record.old_state < 3
         }
         assert fired == {"reset"}
@@ -386,3 +404,132 @@ class TestEngineSelection:
             protocol, CentralDaemon(), rng=random.Random(5), engine="incremental"
         ).run(initial, 20)
         assert list(reference.configurations) == list(incremental.configurations)
+
+
+class NoKernelMatching(MaximalMatching):
+    """A capability-free matching: the array kernels are never available."""
+
+    def array_codec(self):
+        return None
+
+    def array_kernel(self):
+        return None
+
+
+#: Resolver-grid protocols: name -> (factory of n, stock transition
+#: semantics, declares the array capability).
+GRID_PROTOCOLS = {
+    "unison": (
+        lambda n: AsynchronousUnison(ring_graph(n), validate_parameters=False),
+        True,
+        True,
+    ),
+    "ssme": (lambda n: SSME(ring_graph(n)), True, True),
+    "dijkstra": (DijkstraTokenRing.on_ring, True, True),
+    "no-kernel-matching": (lambda n: NoKernelMatching(ring_graph(n)), True, False),
+    "overlapping-rules": (lambda n: OverlappingRulesProtocol(ring_graph(n)), False, False),
+    "custom-apply": (lambda n: CustomApplyProtocol(path_graph(n)), False, False),
+}
+
+#: Resolver-grid daemons: name -> (factory, graph size, what
+#: ``engine="auto"`` resolves to for a stock protocol with the capability).
+GRID_DAEMONS = {
+    "sd": (SynchronousDaemon, 12, "vector-superstep"),
+    "dd-0.9": (lambda: DistributedDaemon(0.9), 12, "vector"),
+    "dd-0.4-small": (lambda: DistributedDaemon(0.4), 12, "incremental"),
+    "dd-0.4-large": (lambda: DistributedDaemon(0.4), 512, "vector"),
+    "cd": (CentralDaemon, 12, "incremental"),
+    "regime-switch": (RegimeSwitchingDaemon, 12, "incremental"),
+    "ud-starve": (StarvationDaemon, 12, "vector"),
+}
+
+#: The ``last_run_backend`` each fixed resolved engine reports.
+RUN_BACKEND = {
+    "reference": None,
+    "incremental": "dict",
+    "vector": "vector",
+    "vector-superstep": "vector-superstep",
+}
+
+
+def expected_engine(requested, protocol_name, daemon_name, with_numpy):
+    """The resolution policy, stated as tables rather than densities."""
+    _, stock, capable = GRID_PROTOCOLS[protocol_name]
+    if not stock:
+        return "reference"
+    if requested in ("reference", "adaptive", "incremental"):
+        return requested
+    if requested == "auto":
+        requested = GRID_DAEMONS[daemon_name][2]
+        if requested == "incremental":
+            return requested
+    if not (capable and with_numpy):
+        return "incremental"
+    if requested == "vector" or daemon_name != "sd":
+        return "vector"
+    return "vector-superstep"
+
+
+def assert_same_execution(execution, reference):
+    assert execution.steps == reference.steps
+    assert execution.truncated == reference.truncated
+    assert list(execution.configurations) == list(reference.configurations)
+    for i in range(reference.steps):
+        assert execution.selection(i) == reference.selection(i)
+        assert execution.enabled_at(i) == reference.enabled_at(i)
+        assert _record_tuples(execution, i) == _record_tuples(reference, i)
+
+
+def _record_tuples(execution, index):
+    """The records of one action, order-insensitively comparable."""
+    return sorted(
+        (
+            (repr(r.vertex), r.rule_name, repr(r.old_state), repr(r.new_state))
+            for r in execution.activation_records(index)
+        )
+    )
+
+
+@pytest.mark.parametrize("protocol_name", sorted(GRID_PROTOCOLS))
+@pytest.mark.parametrize("daemon_name", sorted(GRID_DAEMONS))
+def test_backend_resolution_grid(monkeypatch, protocol_name, daemon_name):
+    """Every engine request, with NumPy present and stubbed out: the
+    resolved ``Simulator.engine`` is the documented one, agrees with the
+    backend the run reports, and the execution equals the reference
+    engine's."""
+    daemon_factory, n, _ = GRID_DAEMONS[daemon_name]
+    protocol = GRID_PROTOCOLS[protocol_name][0](n)
+    steps = 8 if n > 100 else 40
+    initial = protocol.random_configuration(random.Random(n))
+    reference = Simulator(
+        protocol, daemon_factory(), rng=random.Random(1), engine="reference"
+    ).run(initial, max_steps=steps)
+    modes = [True, False] if numpy_available() else [False]
+    for with_numpy in modes:
+        with monkeypatch.context() as patch:
+            if not with_numpy:
+                patch.setitem(sys.modules, "numpy", None)
+            for requested in ENGINES:
+                case = (requested, with_numpy)
+                simulator = Simulator(
+                    protocol, daemon_factory(), rng=random.Random(1), engine=requested
+                )
+                resolved = simulator.engine
+                assert resolved == expected_engine(
+                    requested, protocol_name, daemon_name, with_numpy
+                ), case
+                execution = simulator.run(initial, max_steps=steps)
+                if resolved == "adaptive":
+                    switches = simulator.last_run_switches
+                    assert switches[0] == (0, "dict"), case
+                    assert switches[-1].backend == simulator.last_run_backend, case
+                    # Promotion goes where a superstep request resolves.
+                    promoted = expected_engine(
+                        "vector-superstep", protocol_name, daemon_name, with_numpy
+                    )
+                    assert {event.backend for event in switches} <= {
+                        "dict", RUN_BACKEND[promoted]
+                    }, case
+                else:
+                    assert simulator.last_run_backend == RUN_BACKEND[resolved], case
+                assert_same_execution(execution, reference)

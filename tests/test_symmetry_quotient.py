@@ -7,8 +7,10 @@ Three layers of guarantees, each pinned against the unreduced checker:
   and the array path (:meth:`SymmetryReducer.canonicalize_index_matrix`)
   agrees with the pure-Python :meth:`SymmetryReducer.canonical_key`;
 * the quotient game — identical ``exact_worst_case`` / ``stabilizes`` /
-  per-configuration values to the full product on rings, for all three
-  daemon classes;
+  per-configuration values to the full product on rings, paths, stars and
+  complete bipartite graphs, for all three daemon classes, and to the
+  concrete region closure on the Petersen and Shrikhande graphs (the
+  non-ring shapes go through the generic ``Graph.automorphisms`` search);
 * the certificates — divergence lassos concretized out of the quotient
   still replay transition-by-transition on concrete configurations.
 """
@@ -23,7 +25,13 @@ from hypothesis import strategies as st
 
 from repro.core.vector import numpy_available
 from repro.exceptions import VerificationError
-from repro.graphs import ring_graph
+from repro.graphs import (
+    complete_bipartite_graph,
+    path_graph,
+    petersen_graph,
+    ring_graph,
+    star_graph,
+)
 from repro.mutex import SSME, MutualExclusionSpec
 from repro.unison import AsynchronousUnison, AsynchronousUnisonSpec
 from repro.verify import StateSpace, verify_stabilization
@@ -159,6 +167,76 @@ def test_quotient_matches_full_exact_values(daemon_class, n):
             {vertex_map[v]: gamma[v] for v in protocol.graph.vertices}
         )
         assert quotient.value_of(rotated) == expected
+
+
+#: Non-ring graphs small enough for the full product of unison α=1, K=3.
+NONRING_FULL_PRODUCT = {
+    "path5": lambda: path_graph(5),
+    "star4": lambda: star_graph(4),
+    "k2-3": lambda: complete_bipartite_graph(2, 3),
+}
+
+
+def unison_on(graph):
+    protocol = AsynchronousUnison(graph, alpha=1, K=3, validate_parameters=False)
+    return protocol, AsynchronousUnisonSpec(protocol)
+
+
+def assert_orbit_values_agree(protocol, full, quotient, configurations, seed):
+    """The quotient's value of every configuration and of a random
+    automorphic image equals the concrete value of the configuration."""
+    maps = protocol.graph.automorphisms()
+    assert len(maps) > 1
+    rng = random.Random(seed)
+    for gamma in configurations:
+        expected = full.value_of(gamma)
+        assert quotient.value_of(gamma) == expected
+        vertex_map = rng.choice(maps)
+        image = protocol.configuration(
+            {vertex_map[v]: gamma[v] for v in protocol.graph.vertices}
+        )
+        assert quotient.value_of(image) == expected
+
+
+@pytest.mark.parametrize("daemon_class", ["synchronous", "central", "distributed"])
+@pytest.mark.parametrize("graph_name", sorted(NONRING_FULL_PRODUCT))
+def test_quotient_matches_full_product_beyond_rings(graph_name, daemon_class):
+    graph = NONRING_FULL_PRODUCT[graph_name]()
+    assert ring_automorphisms(graph) is None
+    protocol, specification = unison_on(graph)
+    full = verify_stabilization(protocol, specification, daemon_class)
+    quotient = verify_stabilization(
+        protocol, specification, daemon_class, symmetry=True
+    )
+    assert quotient.stabilizes == full.stabilizes
+    assert quotient.exact_worst_case == full.exact_worst_case
+    assert quotient.state_count < full.state_count
+    rng = random.Random(graph.n)
+    configurations = [protocol.random_configuration(rng) for _ in range(10)]
+    assert_orbit_values_agree(protocol, full, quotient, configurations, graph.n)
+
+
+@pytest.mark.parametrize("graph_name", ["petersen", "shrikhande"])
+def test_quotient_matches_region_closure_beyond_rings(request, graph_name):
+    graph = (
+        petersen_graph()
+        if graph_name == "petersen"
+        else request.getfixturevalue("shrikhande")
+    )
+    assert ring_automorphisms(graph) is None
+    protocol, specification = unison_on(graph)
+    rng = random.Random(7)
+    initial = [protocol.random_configuration(rng) for _ in range(20)]
+    full = verify_stabilization(
+        protocol, specification, "synchronous", initial=initial
+    )
+    quotient = verify_stabilization(
+        protocol, specification, "synchronous", initial=initial, symmetry=True
+    )
+    assert quotient.stabilizes == full.stabilizes
+    assert quotient.exact_worst_case == full.exact_worst_case
+    assert quotient.state_count <= full.state_count
+    assert_orbit_values_agree(protocol, full, quotient, initial, 7)
 
 
 def test_quotient_agrees_across_engines():

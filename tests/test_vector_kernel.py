@@ -177,9 +177,7 @@ def test_dijkstra_kernel_guards_match_python(state_seed):
 def test_baseline_kernel_guards_match_python(factory, graph_seed, state_seed):
     graph = random_connected_graph(8, 0.35, random.Random(graph_seed))
     protocol = factory(graph)
-    assert protocol_supports_vector(protocol)
-    kernel = protocol.array_kernel()
-    codec = protocol.array_codec()
+    codec, kernel = protocol_supports_vector(protocol)
     index = GraphIndex(graph)
     kernel.prepare(index)
     configuration = protocol.random_configuration(random.Random(state_seed))
@@ -390,9 +388,9 @@ class TestBackendSelection:
                 return enabled_rules[-1]
 
         protocol = PickyUnison(ring_graph(5), validate_parameters=False)
-        assert not protocol_supports_vector(protocol)
+        assert protocol_supports_vector(protocol) is None
         simulator = Simulator(protocol, SynchronousDaemon(), engine="vector")
-        assert simulator.engine == "incremental"
+        assert simulator.engine == "reference"
 
     def test_rule_name_mismatch_rejected(self):
         class LyingKernelProtocol(TwoCounterProtocol):
@@ -430,7 +428,7 @@ class TestBackendSelection:
 
     def test_auto_selection_routes_mid_density_daemons_at_scale(self):
         """p >= 0.2 daemons take the array backend once n is large enough
-        for the vectorized sparse refresh to win (prefers_array_backend)."""
+        for the vectorized sparse refresh to win (resolve_backend)."""
         from repro.core import DistributedDaemon
 
         small = AsynchronousUnison(ring_graph(16), validate_parameters=False)
